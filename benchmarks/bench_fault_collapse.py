@@ -1,16 +1,14 @@
 """Structural fault collapsing — collapse ratio and wall-time speedup.
 
-Measures, per circuit and per engine, what the static equivalence /
-dominance analysis (``repro.analyze.collapse``) buys a campaign over the
-*full* stuck-at universe:
+Measures, per circuit and per engine, what the static equivalence
+analysis (``repro.analyze.collapse``) buys a campaign over the *full*
+stuck-at universe:
 
 * the collapse ratio — what fraction of the full universe the
-  representatives replace (equivalence and dominance separately);
+  representatives replace;
 * the end-to-end wall-clock speedup of simulating representatives and
-  expanding, asserting — always — that the equivalence-expanded
-  detections are bit-identical to the full-universe run;
-* for dominance, that the expansion is conservative (never a detection
-  the full run did not make).
+  expanding, asserting — always — that the expanded detections are
+  bit-identical to the full-universe run.
 
 Usage::
 
@@ -33,7 +31,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import benchlib
 
-from repro.analyze import collapse_universe, expand_verified
+from repro.analyze import collapse_universe
 from repro.faults.universe import all_stuck_at_faults
 from repro.harness.runner import run_stuck_at, workload_circuit, workload_tests
 
@@ -53,13 +51,11 @@ def _best_of(repeats, function, *args, **kwargs):
 
 def _collapsed_run(circuit, tests, engine, collapsed):
     """One collapsed campaign: simulate representatives, expand. The unit
-    being timed — expansion is part of the work the analysis trades for,
-    including the serial-oracle confirmation of dominance proposals."""
+    being timed — expansion is part of the work the analysis trades for."""
     reps = run_stuck_at(
         circuit, tests, engine, faults=list(collapsed.representatives)
     )
-    expanded, _audit = expand_verified(circuit, tests.vectors, collapsed, reps)
-    return expanded
+    return collapsed.expand(reps)
 
 
 def measure_circuit(name, scale, patterns, engines, repeats):
@@ -67,7 +63,6 @@ def measure_circuit(name, scale, patterns, engines, repeats):
     tests = workload_tests(name, scale, "random", length=patterns)
     universe = list(all_stuck_at_faults(circuit))
     equivalence = collapse_universe(circuit, universe)
-    dominance = collapse_universe(circuit, universe, mode="dominance")
 
     rows = []
     for engine in engines:
@@ -83,30 +78,17 @@ def measure_circuit(name, scale, patterns, engines, repeats):
         )
         assert equiv.potentially_detected == full.potentially_detected
 
-        dom_wall, dom = _best_of(
-            repeats, _collapsed_run, circuit, tests, engine, dominance
-        )
-        assert set(dom.detected.items()) <= set(full.detected.items()), (
-            f"{name}/{engine}: dominance expansion claimed a detection the "
-            "full run did not make"
-        )
-
         rows.append(
             {
                 "circuit": name,
                 "engine": engine,
                 "faults_full": equivalence.num_universe,
                 "faults_equivalence": equivalence.num_representatives,
-                "faults_dominance": dominance.num_representatives,
                 "equivalence_ratio_pct": round(100.0 * equivalence.ratio, 2),
-                "dominance_ratio_pct": round(100.0 * dominance.ratio, 2),
                 "full_wall_seconds": round(full_wall, 4),
                 "equivalence_wall_seconds": round(equiv_wall, 4),
-                "dominance_wall_seconds": round(dom_wall, 4),
                 "equivalence_speedup": round(full_wall / equiv_wall, 3),
-                "dominance_speedup": round(full_wall / dom_wall, 3),
                 "detected": len(full.detected),
-                "dominance_detected": len(dom.detected),
             }
         )
     return rows
@@ -147,9 +129,7 @@ def main(argv=None) -> int:
                 f"  {row['circuit']}/{row['engine']}: "
                 f"equivalence {row['faults_equivalence']}/{row['faults_full']} "
                 f"(-{row['equivalence_ratio_pct']:.1f}%) "
-                f"speedup={row['equivalence_speedup']:.2f}x  "
-                f"dominance -{row['dominance_ratio_pct']:.1f}% "
-                f"speedup={row['dominance_speedup']:.2f}x"
+                f"speedup={row['equivalence_speedup']:.2f}x"
             )
 
     path = benchlib.write_bench_json(
@@ -161,7 +141,7 @@ def main(argv=None) -> int:
                 "seconds": row[f"{kind}_wall_seconds"],
             }
             for row in rows
-            for kind in ("full", "equivalence", "dominance")
+            for kind in ("full", "equivalence")
         ],
         detail={"results": rows},
         out=args.out,

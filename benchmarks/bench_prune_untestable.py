@@ -38,8 +38,8 @@ from repro.analyze import prune_untestable
 from repro.circuit.netlist import CircuitBuilder
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import (
-    engine_options,
     run_stuck_at,
+    sanitized_options,
     workload_circuit,
     workload_tests,
 )
@@ -108,9 +108,9 @@ def measure_circuit(name, scale, patterns, repeats):
         f"{name}: pruning changed survivor detections — analysis is unsound"
     )
 
-    sanitized_options = engine_options("csim-MV").with_(sanitize=True)
     sanitized_wall, sanitized = _best_of(
-        repeats, run_stuck_at, circuit, tests, "csim-MV", options=sanitized_options
+        repeats, run_stuck_at, circuit, tests, "csim-MV",
+        options=sanitized_options("csim-MV"),
     )
     assert sanitized.detected == full.detected
 

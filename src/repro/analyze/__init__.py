@@ -1,30 +1,20 @@
 """Static analysis over circuits and fault universes.
 
-Five tools, all usable before a single vector is simulated:
+Four tools, all usable before a single vector is simulated:
 
 * :mod:`repro.analyze.lint` — severity-tiered netlist diagnostics with
   ``file:line`` locations (``repro lint``);
 * :mod:`repro.analyze.scoap` + :mod:`repro.analyze.untestable` — SCOAP
   testability scores and sound structural pruning of provably
   undetectable faults (``--prune-untestable``);
-* :mod:`repro.analyze.collapse` — equivalence/dominance fault collapsing
-  with an exact expansion map back to the full universe (``--collapse``);
-* :mod:`repro.analyze.sanitize` — the opt-in fault-list invariant
-  checker for the concurrent engines (``--sanitize``);
+* :mod:`repro.analyze.collapse` — equivalence fault collapsing with an
+  exact expansion map back to the full universe (``--collapse``);
 * :mod:`repro.analyze.codelint` — the AST determinism lint for this
   codebase itself (unseeded randomness, wall clocks in hot paths,
   set-order-dependent merges), run in CI.
 """
 
-from repro.analyze.collapse import (
-    AuditReport,
-    COLLAPSE_MODES,
-    CollapseAuditError,
-    CollapsedUniverse,
-    audit_expansion,
-    collapse_universe,
-    expand_verified,
-)
+from repro.analyze.collapse import CollapsedUniverse, collapse_universe
 from repro.analyze.lint import (
     Diagnostic,
     SEVERITIES,
@@ -35,7 +25,6 @@ from repro.analyze.lint import (
     severity_rank,
     worst_severity,
 )
-from repro.analyze.sanitize import FaultListSanitizer, SanitizerError
 from repro.analyze.scoap import INF, ScoapResult, scoap
 from repro.analyze.untestable import (
     PruneReport,
@@ -46,13 +35,8 @@ from repro.analyze.untestable import (
 )
 
 __all__ = [
-    "AuditReport",
-    "COLLAPSE_MODES",
-    "CollapseAuditError",
     "CollapsedUniverse",
-    "audit_expansion",
     "collapse_universe",
-    "expand_verified",
     "Diagnostic",
     "SEVERITIES",
     "has_findings",
@@ -61,8 +45,6 @@ __all__ = [
     "lint_path",
     "severity_rank",
     "worst_severity",
-    "FaultListSanitizer",
-    "SanitizerError",
     "INF",
     "ScoapResult",
     "scoap",

@@ -19,10 +19,8 @@ it has findings and 2 on usage or parse errors.  ``simulate``,
 structurally untestable faults; survivor detections are bit-identical),
 ``--collapse`` (simulate one representative per fault-equivalence class
 of the *full* universe and expand detections back — bit-identical to
-simulating the whole universe; ``--collapse dominance`` adds
-fanout-free-region dominators with a serial-oracle audit of the
-conservative expansions) and ``--sanitize`` (fault-list invariant checks
-at every phase boundary).
+simulating the whole universe) and ``--sanitize`` (fault-list invariant
+checks at every phase boundary).
 
 Circuits are named (``s27``, ``s298`` ... — synthetic stand-ins except the
 embedded real ``s27``) or paths to ISCAS-89 ``.bench`` files.  Test sets
@@ -37,7 +35,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analyze.collapse import CollapseAuditError
 from repro.circuit.library import load
 from repro.circuit.netlist import NetlistError
 from repro.circuit.stats import circuit_stats
@@ -47,9 +44,9 @@ from repro.harness.reporting import format_table
 from repro.harness.runner import (
     ENGINE_NAMES,
     WORD_ENGINES,
-    engine_options,
     run_stuck_at,
     run_transition,
+    sanitized_options,
 )
 from repro.parallel.sharding import STRATEGIES
 from repro.patterns.atpg import generate_tests
@@ -275,15 +272,13 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
         "--collapse",
         nargs="?",
         const="equivalence",
-        choices=("equivalence", "dominance"),
+        choices=("equivalence",),
         default=None,
         metavar="MODE",
-        help="simulate one representative per fault class of the full "
-        "universe, then expand detections back through the class map "
-        "(bit-identical to simulating the whole universe); 'dominance' "
-        "additionally drops fanout-free-region dominators, expanding them "
-        "conservatively with a serial-oracle audit (default MODE: "
-        "equivalence)",
+        help="simulate one representative per fault-equivalence class of "
+        "the full universe, then expand detections back through the class "
+        "map (bit-identical to simulating the whole universe; the only "
+        "MODE is equivalence)",
     )
     parser.add_argument(
         "--sanitize",
@@ -329,32 +324,9 @@ def _analysis_faults(args, circuit, transition: bool):
         return faults, None
     from repro.analyze import collapse_universe
 
-    collapsed = collapse_universe(
-        circuit, faults, mode=collapse_mode, transition=transition
-    )
+    collapsed = collapse_universe(circuit, faults, transition=transition)
     print(f"# {collapsed.summary()}", file=sys.stderr)
     return list(collapsed.representatives), collapsed
-
-
-def _expand_result(circuit, tests, collapsed, result):
-    """Expand a representatives-only result onto the full universe.
-
-    Dominance-mode runs confirm every proposed inheritance against the
-    serial oracle inside :func:`repro.analyze.expand_verified`; refuted
-    proposals are dropped (left undetected) rather than emitted, and the
-    confirmation tally is reported on stderr.
-    """
-    if collapsed is None:
-        return result
-    if collapsed.implied_by:
-        from repro.analyze import expand_verified
-
-        expanded, report = expand_verified(
-            circuit, tests.vectors, collapsed, result
-        )
-        print(f"# {report.summary()}", file=sys.stderr)
-        return expanded
-    return collapsed.expand(result)
 
 
 def _add_test_args(parser: argparse.ArgumentParser) -> None:
@@ -375,7 +347,6 @@ def cmd_stats(args) -> int:
     stats = circuit_stats(circuit)
     full = all_stuck_at_faults(circuit)
     equivalence = collapse_universe(circuit)
-    dominance = collapse_universe(circuit, mode="dominance")
     transition = all_transition_faults(circuit)
     print(
         format_table(
@@ -393,11 +364,6 @@ def cmd_stats(args) -> int:
                     "equivalence collapse ratio",
                     f"{100.0 * equivalence.ratio:.1f}%",
                 ),
-                (
-                    "dominance representatives",
-                    dominance.num_representatives,
-                ),
-                ("dominance collapse ratio", f"{100.0 * dominance.ratio:.1f}%"),
                 ("transition faults", len(transition)),
             ],
             title=f"{circuit.name}",
@@ -459,12 +425,7 @@ def cmd_simulate(args) -> int:
             raise ValueError(
                 "--ladder picks its own engines; --sanitize needs a fixed one"
             )
-        base = engine_options(args.engine)
-        if base is None:
-            raise ValueError(
-                f"--sanitize requires a concurrent engine (csim*), not {args.engine!r}"
-            )
-        options = base.with_(sanitize=True)
+        options = sanitized_options(args.engine)
     cli_trace = _CliTrace(_parallel_trace_dir(args))
     if args.ladder:
         if args.checkpoint:
@@ -536,7 +497,8 @@ def cmd_simulate(args) -> int:
     cli_trace.finish(
         f"simulate {circuit.name}", engine=args.engine, jobs=args.jobs
     )
-    result = _expand_result(circuit, tests, collapsed, result)
+    if collapsed is not None:
+        result = collapsed.expand(result)
     print(result.summary())
     if args.verbose:
         from repro.faults.model import fault_name
@@ -558,11 +520,7 @@ def cmd_transition(args) -> int:
     fingerprint_extra = (
         collapsed.fingerprint_material() if collapsed is not None else ()
     )
-    options = None
-    if args.sanitize:
-        from repro.concurrent.options import SimOptions
-
-        options = SimOptions(split_lists=True, sanitize=True)
+    options = sanitized_options(transition=True) if args.sanitize else None
     cli_trace = _CliTrace(_parallel_trace_dir(args))
     if args.checkpoint and args.jobs > 1:
         from repro.parallel import run_parallel
@@ -614,7 +572,8 @@ def cmd_transition(args) -> int:
             record_events=cli_trace.trace_dir is not None,
         )
     cli_trace.finish(f"transition {circuit.name}", jobs=args.jobs)
-    result = _expand_result(circuit, tests, collapsed, result)
+    if collapsed is not None:
+        result = collapsed.expand(result)
     print(result.summary())
     _emit_observability(args, result, circuit, tracer)
     return 0
@@ -1287,9 +1246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("interrupted (no checkpoint; progress lost)", file=sys.stderr)
         return 130
     except (NetlistError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CollapseAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -176,7 +176,7 @@ class ConcurrentFaultSimulator:
         self._build_descriptors()
         self.reset()
         if options.sanitize:
-            from repro.analyze.sanitize import FaultListSanitizer
+            from repro.robust.guards import FaultListSanitizer
 
             self._sanitizer: Optional[FaultListSanitizer] = FaultListSanitizer(self)
         else:

@@ -34,7 +34,7 @@ class SimOptions:
         to the paper's tables.
     ``sanitize``
         Run the fault-list sanitizer
-        (:class:`repro.analyze.sanitize.FaultListSanitizer`) at every
+        (:class:`repro.robust.guards.FaultListSanitizer`) at every
         phase boundary.  Opt-in debugging aid; does not change results or
         the variant name, only adds invariant scans.
     """

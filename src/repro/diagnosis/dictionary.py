@@ -18,8 +18,6 @@ representative's response tuple exactly
 (:meth:`repro.analyze.collapse.CollapsedUniverse.expand_responses`).
 Equivalent machines are identical, so the collapsed dictionary is
 bit-identical to the full-universe one at a fraction of the cost.
-Dominance collapsing is refused: dominance argues detection, never the
-response shape.
 
 Two classic formats:
 
@@ -195,7 +193,7 @@ def build_responses(
     if collapse is not None:
         from repro.analyze.collapse import collapse_universe
 
-        collapsed = collapse_universe(circuit, universe, mode=collapse)
+        collapsed = collapse_universe(circuit, universe)
         simulate_faults = list(collapsed.representatives)
         fingerprint_extra = fingerprint_extra + collapsed.fingerprint_material()
 

@@ -9,8 +9,7 @@ from repro.faults.model import (
     fault_name,
 )
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
-from repro.faults.collapse import collapse_stuck_at, equivalence_classes
-from repro.faults.dominance import dominance_collapse
+from repro.faults.collapse import collapse_stuck_at
 from repro.faults.transition import (
     TransitionFault,
     all_transition_faults,
@@ -27,8 +26,6 @@ __all__ = [
     "all_stuck_at_faults",
     "stuck_at_universe",
     "collapse_stuck_at",
-    "equivalence_classes",
-    "dominance_collapse",
     "TransitionFault",
     "all_transition_faults",
     "delayed_value",

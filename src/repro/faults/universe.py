@@ -39,11 +39,13 @@ def stuck_at_universe(circuit: Circuit, collapse: bool = True) -> List[StuckAtFa
     """The stuck-at fault list a simulator targets.
 
     With ``collapse`` (the default, matching the paper's fault counts) one
-    representative per structural-equivalence class is kept.
+    representative per structural-equivalence class is kept: the smallest
+    member of each class of :func:`repro.faults.collapse.stuck_at_union`.
     """
     faults = all_stuck_at_faults(circuit)
     if not collapse:
         return faults
-    from repro.faults.collapse import collapse_stuck_at
+    from repro.faults.collapse import representatives, stuck_at_union
 
-    return collapse_stuck_at(circuit, faults)
+    # The universe is built in fault order, so no sort is needed here.
+    return representatives(stuck_at_union(circuit), faults)

@@ -47,10 +47,27 @@ def engine_options(engine: str) -> Optional[SimOptions]:
     """The :class:`SimOptions` behind a named concurrent variant.
 
     ``None`` for engines without an options object (``PROOFS``,
-    ``serial``) — callers use this to tell which engines can take
-    option-level knobs such as ``sanitize``.
+    ``vsim``, ``serial``) — callers use this to tell the fault-list
+    engines from the rest (see also :func:`sanitized_options`).
     """
     return _OPTIONS_BY_NAME.get(engine)
+
+
+def sanitized_options(engine: str = "csim-MV", transition: bool = False) -> SimOptions:
+    """The options that arm the fault-list sanitizer for one engine.
+
+    Transition runs use the split-lists transition engine whatever
+    ``engine`` names.  Engines without fault lists (``PROOFS``, ``vsim``,
+    ``serial``) cannot be sanitized: :class:`ValueError`.
+    """
+    if transition:
+        return SimOptions(split_lists=True, sanitize=True)
+    base = engine_options(engine)
+    if base is None:
+        raise ValueError(
+            f"sanitize requires a concurrent engine (csim*), not {engine!r}"
+        )
+    return base.with_(sanitize=True)
 
 
 def make_stuck_at_simulator(
@@ -138,10 +155,17 @@ def run_stuck_at(
     process boundary, so parallel runs record telemetry in every worker
     instead and attach the merged telemetry to the result; ``trace_dir``
     (with optional ``record_events``) additionally captures the
-    cross-process span trace (see :mod:`repro.obs.span`).
+    cross-process span trace (see :mod:`repro.obs.span`).  The shard
+    workers always pick their own vsim axis, so ``axis_mode`` other than
+    ``"auto"`` is refused with ``jobs > 1``.
     """
     if jobs > 1:
         from repro.parallel.runner import run_parallel
+
+        if axis_mode != "auto":
+            raise ValueError(
+                f"axis_mode {axis_mode!r} needs jobs=1; sharded runs use 'auto'"
+            )
 
         return run_parallel(
             circuit,
@@ -238,7 +262,7 @@ def compare_engines(
             engine,
             fault_list,
             options=(
-                _OPTIONS_BY_NAME[engine].with_(sanitize=True)
+                sanitized_options(engine)
                 if sanitize and engine in _OPTIONS_BY_NAME
                 else None
             ),

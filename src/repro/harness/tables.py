@@ -32,9 +32,9 @@ from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
     compare_engines,
-    engine_options,
     run_stuck_at,
     run_transition,
+    sanitized_options,
     workload_circuit,
     workload_tests,
     workload_transition_faults,
@@ -73,26 +73,14 @@ def _stuck_at_targets(circuit, prune: bool, collapse: Optional[str]):
     universe = all_stuck_at_faults(circuit)
     if prune:
         universe = _pruned(circuit, universe)
-    collapsed = collapse_universe(circuit, universe, mode=collapse)
+    collapsed = collapse_universe(circuit, universe)
     return list(collapsed.representatives), collapsed
 
 
-def _expand_all(circuit, tests, collapsed, results):
-    """Expand every result through the collapse map (no-op without one).
-
-    Equivalence maps expand exactly; dominance maps route through the
-    serial-oracle confirmation so a table cell never reports a detection
-    the full universe would not have produced.
-    """
+def _expand_all(collapsed, results):
+    """Expand every result through the collapse map (no-op without one)."""
     if collapsed is None:
         return results
-    if collapsed.implied_by:
-        from repro.analyze import expand_verified
-
-        return [
-            expand_verified(circuit, tests.vectors, collapsed, result)[0]
-            for result in results
-        ]
     return [collapsed.expand(result) for result in results]
 
 
@@ -185,8 +173,6 @@ def _table3_cell(
     tests = workload_tests(name, scale, "deterministic", seed=seed)
     faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
     results = _expand_all(
-        circuit,
-        tests,
         collapsed,
         compare_engines(
             circuit,
@@ -224,8 +210,6 @@ def _table4_cell(
     tests = workload_tests(name, scale, "deterministic-high", seed=seed)
     faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
     results = _expand_all(
-        circuit,
-        tests,
         collapsed,
         compare_engines(
             circuit,
@@ -266,8 +250,6 @@ def _table5_cell(
     tests = workload_tests(circuit_name, scale, "random", length=count, seed=seed)
     faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
     results = _expand_all(
-        circuit,
-        tests,
         collapsed,
         compare_engines(
             circuit,
@@ -312,13 +294,9 @@ def _table6_cell(
     if collapse is not None:
         from repro.analyze import collapse_universe
 
-        t_collapsed = collapse_universe(
-            circuit, faults, mode=collapse, transition=True
-        )
+        t_collapsed = collapse_universe(circuit, faults, transition=True)
         run_faults = list(t_collapsed.representatives)
     result = _expand_all(
-        circuit,
-        tests,
         t_collapsed,
         [
             run_transition(
@@ -333,8 +311,6 @@ def _table6_cell(
     )[0]
     stuck_faults, s_collapsed = _stuck_at_targets(circuit, prune, collapse)
     stuck = _expand_all(
-        circuit,
-        tests,
         s_collapsed,
         [
             run_stuck_at(
@@ -342,11 +318,7 @@ def _table6_cell(
                 tests,
                 "csim-MV",
                 faults=stuck_faults,
-                options=(
-                    engine_options("csim-MV").with_(sanitize=True)
-                    if sanitize
-                    else None
-                ),
+                options=sanitized_options("csim-MV") if sanitize else None,
             )
         ],
     )[0]

@@ -19,7 +19,12 @@ from repro.robust.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.robust.guards import GuardedTracer, verify_invariants
+from repro.robust.guards import (
+    FaultListSanitizer,
+    GuardedTracer,
+    SanitizerError,
+    invariant_violations,
+)
 from repro.robust.ladder import (
     DEFAULT_LADDER,
     VECTOR_LADDER,
@@ -40,18 +45,20 @@ __all__ = [
     "CampaignInterrupted",
     "Checkpoint",
     "CheckpointError",
+    "FaultListSanitizer",
     "GuardedTracer",
+    "SanitizerError",
     "TableCampaign",
     "DEFAULT_CHECKPOINT_EVERY",
     "DEFAULT_LADDER",
     "VECTOR_LADDER",
     "circuit_fingerprint",
     "config_fingerprint",
+    "invariant_violations",
     "oracle_spot_check",
     "read_checkpoint",
     "run_checkpointed",
     "run_fingerprint",
     "run_with_ladder",
-    "verify_invariants",
     "write_checkpoint",
 ]

@@ -16,7 +16,7 @@ actually guard:
 * :class:`FaultListChaos` — seeds exactly one fault-list invariant
   violation (illegal value, dangling reference, split swap, counter
   drift, order scramble, detected amnesia) between two cycles; the
-  fault-list sanitizer (:class:`repro.analyze.sanitize.FaultListSanitizer`,
+  fault-list sanitizer (:class:`repro.robust.guards.FaultListSanitizer`,
   armed via ``SimOptions.sanitize``) must flag it at the next phase
   boundary.
 * :func:`truncate_file` — chops the tail off a checkpoint so the
@@ -145,7 +145,7 @@ class ElementCorruptionChaos(ConcurrentFaultSimulator):
     cycle: normal list churn may overwrite or converge a single poisoned
     element away, and a corruptor that heals itself tests nothing).
     Depending on circuit activity the poison either sits until
-    :func:`repro.robust.guards.verify_invariants` flags it or crashes a
+    :func:`repro.robust.guards.invariant_violations` flags it or crashes a
     later table lookup (illegal value used as a packed index); the engine
     ladder must recover from both.
     """
@@ -176,7 +176,7 @@ class FaultListChaos(ConcurrentFaultSimulator):
     cycle where a suitable target exists), exactly one violation of the
     chosen ``corruption`` class is seeded; ``applied`` records whether it
     landed.  Run with ``SimOptions(sanitize=True)`` the engine's own
-    sanitizer must raise :class:`repro.analyze.sanitize.SanitizerError`
+    sanitizer must raise :class:`repro.robust.guards.SanitizerError`
     at the next pre-cycle boundary — one chaos class per invariant the
     sanitizer documents:
 

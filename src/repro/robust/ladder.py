@@ -4,7 +4,7 @@ The concurrent engines are fast because they share the good machine and
 carry faults as list elements — a subtle representation with subtle
 failure modes.  :func:`run_with_ladder` runs the preferred engine first
 and *audits* the result: structural invariants on the live simulator
-(:func:`repro.robust.guards.verify_invariants`) plus a sampled serial
+(:func:`repro.robust.guards.invariant_violations`) plus a sampled serial
 spot-check against :class:`repro.sim.logicsim.LogicSimulator`, the
 one-fault-at-a-time oracle.  On any audit failure, engine crash, or
 repeated budget breach, it backs off and retries one rung down the
@@ -27,7 +27,7 @@ from repro.logic.values import is_binary
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
 from repro.robust.budget import Budget
-from repro.robust.guards import verify_invariants
+from repro.robust.guards import invariant_violations
 from repro.sim.logicsim import LogicSimulator
 
 #: Fastest first, oracle last.  ``csim-MV`` (split lists + macros) is the
@@ -181,7 +181,7 @@ def run_with_ladder(
                 )
                 break
 
-            violations = verify_invariants(simulator)
+            violations = invariant_violations(simulator)
             if violations:
                 _descend(engine, rung_index, f"invariant violated: {violations[0]}")
                 break

@@ -73,7 +73,7 @@ def run_fingerprint(
 
 def _build_simulator(
     circuit, engine, transition, faults, options, tracer,
-    word_width=None, axis_mode="auto", record_responses=False,
+    word_width=None, record_responses=False,
 ):
     if transition:
         if record_responses:
@@ -88,8 +88,7 @@ def _build_simulator(
         return simulator, label
     simulator = make_stuck_at_simulator(
         circuit, engine, faults, options=options, tracer=tracer,
-        word_width=word_width, axis_mode=axis_mode,
-        record_responses=record_responses,
+        word_width=word_width, record_responses=record_responses,
     )
     label = engine if engine in WORD_ENGINES else simulator.options.variant_name
     return simulator, label

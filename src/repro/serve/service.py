@@ -744,19 +744,7 @@ class FaultSimService:
             if spec.dictionary is None and resolved.collapsed is not None:
                 # Representatives -> full universe, so the serialized blob
                 # is what a full-universe submission would have produced.
-                # Dominance proposals are oracle-confirmed before the blob
-                # can claim them.
-                if resolved.collapsed.implied_by:
-                    from repro.analyze import expand_verified
-
-                    result, _audit = expand_verified(
-                        resolved.circuit,
-                        resolved.tests.vectors,
-                        resolved.collapsed,
-                        result,
-                    )
-                else:
-                    result = resolved.collapsed.expand(result)
+                result = resolved.collapsed.expand(result)
             self.metrics.phase("simulate", time.perf_counter() - simulate_started)
             if self.spans is not None and sim_ctx is not None:
                 self.spans.emit(
@@ -941,16 +929,9 @@ class FaultSimService:
             budget = (budget or Budget()).tightened(max_wall_seconds=remaining)
         options = None
         if spec.sanitize:
-            if spec.transition:
-                from repro.concurrent.options import SimOptions
+            from repro.harness.runner import sanitized_options
 
-                options = SimOptions(split_lists=True, sanitize=True)
-            else:
-                from repro.harness.runner import engine_options
-
-                base = engine_options(spec.engine)
-                assert base is not None  # spec validation guarantees csim*
-                options = base.with_(sanitize=True)
+            options = sanitized_options(spec.engine, spec.transition)
         fingerprint_extra = (
             resolved.collapsed.fingerprint_material()
             if resolved.collapsed is not None
@@ -983,7 +964,7 @@ class FaultSimService:
         # Resume whenever a valid checkpoint exists: retries (attempts > 1)
         # and resurrections (attempts reset to 0) both pick up where the
         # last durable cycle left off, bit-identically.
-        resume = self._note_resume(record, checkpoint_path)
+        resume = self._note_resume(record, checkpoint_path, sharded=spec.jobs > 1)
         if spec.jobs > 1:
             from repro.parallel.runner import run_parallel
 
@@ -999,7 +980,7 @@ class FaultSimService:
                 budget=budget,
                 telemetry=trace_ctx is not None,
                 checkpoint_path=checkpoint_path,
-                resume=record.attempts > 1,
+                resume=resume,
                 checkpoint_every=self.config.checkpoint_every,
                 trace_dir=self.config.trace_dir if trace_ctx is not None else None,
                 trace_ctx=trace_ctx,
@@ -1128,17 +1109,33 @@ class FaultSimService:
         self.metrics.phase("diagnose", time.perf_counter() - started)
         return 200, None, body
 
-    def _note_resume(self, record: JobRecord, checkpoint_path: str) -> bool:
-        """Whether a retry can resume, recording the resume cycle."""
-        if not os.path.exists(checkpoint_path):
+    def _note_resume(
+        self, record: JobRecord, checkpoint_path: str, sharded: bool
+    ) -> bool:
+        """Whether an attempt can resume, recording the resume cycle.
+
+        A sharded job resumes every shard whose checkpoint survives
+        (:func:`repro.parallel.run_parallel` starts the rest fresh), and
+        reports the lowest of their cycles.
+        """
+        paths = (
+            sorted(glob.glob(f"{checkpoint_path}.shard*"))
+            if sharded
+            else [checkpoint_path]
+        )
+        cycles: List[int] = []
+        for path in paths:
+            if not os.path.exists(path):
+                continue
+            try:
+                saved = read_checkpoint(path)
+            except CheckpointError:
+                os.unlink(path)  # torn checkpoint: that run starts over
+                continue
+            cycles.append(int(saved.payload.get("cycle", 0)))
+        if not cycles:
             return False
-        try:
-            saved = read_checkpoint(checkpoint_path)
-        except CheckpointError:
-            os.unlink(checkpoint_path)  # torn checkpoint: start over
-            return False
-        cycle = saved.payload.get("cycle", 0)
-        record.resumed_from_cycle = int(cycle)
+        record.resumed_from_cycle = min(cycles)
         return True
 
     def _cleanup_checkpoints(self, job_id: str) -> None:

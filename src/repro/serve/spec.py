@@ -27,7 +27,7 @@ from repro.circuit.bench import parse_bench
 from repro.faults.model import Fault
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
-from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES, engine_options
+from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES, sanitized_options
 
 if TYPE_CHECKING:
     from repro.analyze.collapse import CollapsedUniverse
@@ -117,7 +117,7 @@ class JobSpec:
     engine: str = "csim-MV"
     transition: bool = False
     prune_untestable: bool = False
-    #: Collapse mode (``"equivalence"``/``"dominance"``) or ``None``.  The
+    #: Collapse mode (``"equivalence"``, the only one) or ``None``.  The
     #: job simulates class representatives of the full universe and the
     #: result is expanded back before serialization, so the *blob* matches
     #: an uncollapsed full-universe run — but the option still joins the
@@ -130,8 +130,7 @@ class JobSpec:
     #: mode (no fault dropping, full per-fault failure responses) and its
     #: result blob is a ``repro-dict/1`` artifact instead of a detection
     #: document, so the format *is* part of the cache identity.  Stuck-at
-    #: only, and incompatible with dominance collapsing (dominance argues
-    #: detection, never the response shape).
+    #: only.
     dictionary: Optional[str] = None
     #: Arm the fault-list invariant sanitizer (concurrent engines only).
     #: Purely a self-check — it never changes detections — so, like
@@ -180,10 +179,8 @@ class JobSpec:
             raise SpecError("'jobs' must be >= 1")
         transition = _opt_bool(payload, "transition")
         collapse = _opt_str(payload, "collapse")
-        if collapse is not None and collapse not in ("equivalence", "dominance"):
-            raise SpecError(
-                "'collapse' must be 'equivalence' or 'dominance'"
-            )
+        if collapse is not None and collapse != "equivalence":
+            raise SpecError(f"'collapse' must be 'equivalence', not {collapse!r}")
         dictionary = _opt_str(payload, "dictionary")
         if dictionary is not None:
             from repro.diagnosis.dictionary import DICTIONARY_KINDS
@@ -196,16 +193,12 @@ class JobSpec:
                 raise SpecError(
                     "fault dictionaries only support the stuck-at model"
                 )
-            if collapse == "dominance":
-                raise SpecError(
-                    "dictionary builds need exact response attribution; "
-                    "'collapse' must be 'equivalence' (or omitted)"
-                )
         sanitize = _opt_bool(payload, "sanitize")
-        if sanitize and not transition and engine_options(engine) is None:
-            raise SpecError(
-                f"'sanitize' requires a concurrent engine (csim*), not {engine!r}"
-            )
+        if sanitize:
+            try:
+                sanitized_options(engine, transition)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
         random_patterns = _opt_int(payload, "random_patterns", 64)
         if random_patterns < 1:
             raise SpecError("'random_patterns' must be >= 1")
@@ -428,21 +421,14 @@ class SpecResolver:
         collapse map too — the static pass runs once per batch, not once
         per job.
         """
-        key = spec.circuit_source() + (
-            spec.transition,
-            spec.prune_untestable,
-            spec.collapse,
-        )
+        key = spec.circuit_source() + (spec.transition, spec.prune_untestable)
         cached = self._collapses.get(key)
         if cached is not None:
             self._collapses.move_to_end(key)
             return cached
         from repro.analyze import collapse_universe
 
-        assert spec.collapse is not None
-        collapsed = collapse_universe(
-            circuit, universe, mode=spec.collapse, transition=spec.transition
-        )
+        collapsed = collapse_universe(circuit, universe, transition=spec.transition)
         self._collapses[key] = collapsed
         while len(self._collapses) > self.capacity:
             self._collapses.popitem(last=False)

@@ -19,10 +19,10 @@ from repro.robust import (
     Checkpoint,
     CheckpointError,
     GuardedTracer,
+    invariant_violations,
     read_checkpoint,
     run_checkpointed,
     run_with_ladder,
-    verify_invariants,
     write_checkpoint,
 )
 from repro.robust.chaos import (
@@ -133,7 +133,7 @@ class TestElementCorruption:
             crashed = True
         assert simulator.corrupted is not None
         if not crashed:
-            violations = verify_invariants(simulator)
+            violations = invariant_violations(simulator)
             assert any("illegal logic value" in v for v in violations)
 
     def test_ladder_recovers(self, s27, short_tests):

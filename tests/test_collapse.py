@@ -4,9 +4,7 @@ The contract under test (see ``repro.analyze.collapse``): simulating only
 the equivalence-class representatives of the *full* stuck-at universe and
 expanding the detections back through the class map is bit-identical to
 simulating the full universe — per engine, per shard count, with and
-without untestable-fault pruning, and across a kill/resume.  Dominance
-proposals are confirmed against the serial oracle before expansion may
-claim them, so dominance never over-claims either.
+without untestable-fault pruning, and across a kill/resume.
 """
 
 import random
@@ -14,14 +12,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analyze import (
-    CollapseAuditError,
-    audit_expansion,
-    collapse_universe,
-    expand_verified,
-)
+from repro.analyze import collapse_universe
 from repro.circuit.generate import random_circuit
-from repro.circuit.library import load
+from repro.circuit.library import available_circuits, load
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.runner import run_stuck_at, run_transition
@@ -29,6 +22,17 @@ from repro.parallel import run_parallel
 from repro.patterns.random_gen import random_sequence
 from repro.robust.budget import Budget
 from repro.robust.runner import run_checkpointed
+
+
+#: ``fingerprint_material()`` digests of the full-universe equivalence
+#: maps.  Checkpoint fingerprints embed them, so a change here orphans
+#: every collapsed checkpoint.
+GOLDEN_FINGERPRINTS = {
+    ("s27", False): "1c792a5b3c485c22f7511b7f0cc144e0e57fa22cb87cbddbe8a141e6405268eb",
+    ("s27", True): "e4eebe51e7a5daa45d6f4ceb360e2ff3f254d7d0b21e6f7efad691c6da5e63a2",
+    ("s298", False): "3928a64fac95b19724329f6a2414748690abb627bd8bf810016d8ee8cfaa56db",
+    ("s298", True): "17a59dc6f7b555e68e60544f5e9ca2be37e8c6f070860baee6de551ee16fff4c",
+}
 
 
 def _same_detections(left, right):
@@ -47,6 +51,25 @@ class TestClasses:
             assert sorted(collapsed.representatives) == sorted(
                 stuck_at_universe(circuit)
             )
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    @pytest.mark.parametrize("name", available_circuits())
+    def test_stuck_at_universe_is_collapse_representatives(self, name, scale):
+        """Both faces of the one collapser pick the same representatives."""
+        circuit = load(name, scale=scale)
+        assert stuck_at_universe(circuit) == list(
+            collapse_universe(circuit).representatives
+        )
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_FINGERPRINTS))
+    def test_fingerprint_material_matches_golden(self, key):
+        name, transition = key
+        material = collapse_universe(load(name), transition=transition)
+        assert material.fingerprint_material() == (
+            "collapse",
+            "equivalence",
+            GOLDEN_FINGERPRINTS[key],
+        )
 
     def test_map_covers_universe_and_reps_are_fixed_points(self, s27):
         collapsed = collapse_universe(s27)
@@ -67,23 +90,22 @@ class TestClasses:
         }
         assert all(ratio >= 0.30 for ratio in ratios.values()), ratios
 
-    def test_dominance_collapses_strictly_more(self, s27):
-        equivalence = collapse_universe(s27, mode="equivalence")
-        dominance = collapse_universe(s27, mode="dominance")
-        assert dominance.num_representatives < equivalence.num_representatives
-        assert dominance.implied_by and not equivalence.implied_by
-        assert dominance.num_conservative > 0
-
     def test_fingerprints_distinguish_modes(self, s27):
-        equivalence = collapse_universe(s27, mode="equivalence")
-        dominance = collapse_universe(s27, mode="dominance")
-        assert equivalence.fingerprint_material() != dominance.fingerprint_material()
-        again = collapse_universe(s27, mode="equivalence")
-        assert again.fingerprint_material() == equivalence.fingerprint_material()
+        """Maps over different universes (the full one, or a subset such
+        as pruning leaves) never share a fingerprint; the same map always
+        reproduces its own."""
+        full = collapse_universe(s27)
+        partial = collapse_universe(s27, all_stuck_at_faults(s27)[2:])
+        assert full.fingerprint_material() != partial.fingerprint_material()
+        again = collapse_universe(s27)
+        assert again.fingerprint_material() == full.fingerprint_material()
 
-    def test_unknown_mode_rejected(self, s27):
-        with pytest.raises(ValueError, match="mode"):
-            collapse_universe(s27, mode="bogus")
+    def test_unknown_mode_rejected(self, s27, s27_tests):
+        from repro.diagnosis.dictionary import build_responses
+
+        for mode in ("dominance", "bogus"):
+            with pytest.raises(ValueError, match="equivalence"):
+                build_responses(s27, s27_tests, collapse=mode)
 
     def test_transition_collapse_projects_onto_universe(self, s27):
         collapsed = collapse_universe(s27, transition=True)
@@ -143,81 +165,6 @@ class TestBitIdentity:
         )
         _same_detections(reference, collapsed.expand(reps))
 
-    def test_dominance_never_overclaims_and_is_cycle_exact(self):
-        circuit = load("s298")
-        tests = random_sequence(circuit, 48, seed=7)
-        universe = list(all_stuck_at_faults(circuit))
-        reference = run_stuck_at(circuit, tests, "csim-MV", faults=universe)
-        collapsed = collapse_universe(circuit, universe, mode="dominance")
-        reps = run_stuck_at(
-            circuit, tests, "csim-MV", faults=list(collapsed.representatives)
-        )
-        expanded, report = expand_verified(
-            circuit, tests.vectors, collapsed, reps
-        )
-        # Never a false detection, and confirmed claims carry the exact
-        # cycle; possibly fewer faults (impliers the vectors missed).
-        assert set(expanded.detected.items()) <= set(reference.detected.items())
-        assert expanded.num_faults == reference.num_faults
-        assert report.checked > 0
-        assert report.confirmed + len(report.refuted) <= report.checked
-        audit = audit_expansion(
-            circuit, tests.vectors, collapsed, reps, sample=6, strict=True
-        )
-        assert audit.ok and audit.checked > 0
-
-    def test_unverified_dominance_expand_refused(self, s27):
-        collapsed = collapse_universe(s27, mode="dominance")
-        tests = random_sequence(s27, 10, seed=3)
-        reps = run_stuck_at(
-            s27, tests, "csim-MV", faults=list(collapsed.representatives)
-        )
-        with pytest.raises(ValueError, match="expand_verified"):
-            collapsed.expand(reps)
-
-    def _doctor_in_false_proposal(self, circuit, tests):
-        """A collapse map whose implied_by claims an undetectable fault."""
-        import dataclasses
-
-        collapsed = collapse_universe(circuit, mode="dominance")
-        reps = run_stuck_at(
-            circuit, tests, "csim-MV", faults=list(collapsed.representatives)
-        )
-        detected_reps = [f for f in collapsed.representatives if f in reps.detected]
-        undetected = [
-            f
-            for f in collapsed.representatives
-            if f not in reps.detected and f not in reps.potentially_detected
-        ]
-        if not detected_reps or not undetected:
-            pytest.skip("workload detects everything or nothing")
-        doctored = dict(collapsed.implied_by)
-        doctored[undetected[0]] = (detected_reps[0],)
-        pruned_map = {
-            member: rep
-            for member, rep in collapsed.member_to_rep.items()
-            if member != undetected[0]
-        }
-        bogus = dataclasses.replace(
-            collapsed, implied_by=doctored, member_to_rep=pruned_map
-        )
-        return bogus, reps, undetected[0]
-
-    def test_audit_strict_raises_on_refutation(self, s27, s27_tests):
-        """A doctored implied_by entry must be caught by the oracle."""
-        bogus, reps, _victim = self._doctor_in_false_proposal(s27, s27_tests)
-        with pytest.raises(CollapseAuditError):
-            audit_expansion(
-                s27, s27_tests.vectors, bogus, reps, sample=0, strict=True
-            )
-
-    def test_verified_expansion_drops_refuted_proposals(self, s27, s27_tests):
-        """The same doctored claim never reaches the expanded result."""
-        bogus, reps, victim = self._doctor_in_false_proposal(s27, s27_tests)
-        expanded, report = expand_verified(s27, s27_tests.vectors, bogus, reps)
-        assert victim in report.refuted
-        assert victim not in expanded.detected
-
 
 class TestResume:
     def test_kill_resume_with_collapse_bit_identical(self, tmp_path):
@@ -254,26 +201,24 @@ class TestResume:
 
         circuit = load("s27")
         tests = random_sequence(circuit, 30, seed=2)
-        equivalence = collapse_universe(circuit, mode="equivalence")
-        dominance = collapse_universe(circuit, mode="dominance")
+        collapsed = collapse_universe(circuit)
         path = str(tmp_path / "ck.pkl")
         run_checkpointed(
             circuit,
             tests,
             "csim-MV",
-            faults=list(equivalence.representatives),
+            faults=list(collapsed.representatives),
             checkpoint_path=path,
-            fingerprint_extra=equivalence.fingerprint_material(),
+            fingerprint_extra=collapsed.fingerprint_material(),
         )
         with pytest.raises(CheckpointError):
             run_checkpointed(
                 circuit,
                 tests,
                 "csim-MV",
-                faults=list(dominance.representatives),
+                faults=list(collapsed.universe),
                 checkpoint_path=path,
                 resume=True,
-                fingerprint_extra=dominance.fingerprint_material(),
             )
 
 
@@ -322,16 +267,31 @@ class TestProperty:
 
 class TestCli:
     def test_simulate_collapse_matches_plain_full_universe(self, capsys):
+        import re
+
         from repro.cli import main
 
+        circuit = load("s298")
+        plain = run_stuck_at(
+            circuit,
+            random_sequence(circuit, 30, seed=4),
+            faults=all_stuck_at_faults(circuit),
+        )
+        counts = re.compile(r"\d+/\d+ faults \([0-9.]+%\)")
+        expected = counts.search(plain.summary()).group()
         base = ["simulate", "s298", "--random-patterns", "30", "--seed", "4"]
-        assert main(base + ["--collapse"]) == 0
-        collapsed_out = capsys.readouterr()
-        assert main(base + ["--collapse", "dominance", "--jobs", "2"]) == 0
-        dominance_out = capsys.readouterr()
-        assert "collapse[equivalence]" in collapsed_out.err
-        assert "collapse[dominance]" in dominance_out.err
-        assert "collapse audit" in dominance_out.err
+        for extra in ([], ["--jobs", "2"]):
+            assert main(base + ["--collapse"] + extra) == 0
+            out = capsys.readouterr()
+            assert "collapse[equivalence]" in out.err
+            assert counts.search(out.out).group() == expected
+
+    def test_removed_collapse_mode_exits_2(self, capsys):
+        from repro.cli import main
+
+        base = ["simulate", "s27", "--random-patterns", "10"]
+        assert main(base + ["--collapse", "dominance"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_stats_reports_collapse_ratios(self, capsys):
         from repro.cli import main
@@ -339,7 +299,7 @@ class TestCli:
         assert main(["stats", "s298"]) == 0
         out = capsys.readouterr().out
         assert "equivalence collapse ratio" in out
-        assert "dominance representatives" in out
+        assert "dominance" not in out
 
 
 class TestServeParity:
@@ -378,13 +338,12 @@ class TestServeParity:
         base = {"circuit": "s27", "random_patterns": 20, "seed": 1}
         plain, _ = service.submit(dict(base))
         equivalence, _ = service.submit(dict(base, collapse="equivalence"))
-        dominance, _ = service.submit(dict(base, collapse="dominance"))
         sanitized, _ = service.submit(dict(base, sanitize=True))
         keys = {
             service.store.get(record.job_id).cache_key
-            for record in (plain, equivalence, dominance)
+            for record in (plain, equivalence)
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
         assert (
             service.store.get(sanitized.job_id).cache_key
             == service.store.get(plain.job_id).cache_key
@@ -394,8 +353,9 @@ class TestServeParity:
         from repro.serve import SpecError
 
         service = self._service(tmp_path)
-        with pytest.raises(SpecError, match="collapse"):
-            service.submit({"circuit": "s27", "collapse": "bogus"})
+        for mode in ("bogus", "dominance"):
+            with pytest.raises(SpecError, match="collapse"):
+                service.submit({"circuit": "s27", "collapse": mode})
         with pytest.raises(SpecError, match="sanitize"):
             service.submit(
                 {"circuit": "s27", "engine": "PROOFS", "sanitize": True}
@@ -407,10 +367,10 @@ class TestServeParity:
         payload = {
             "circuit": "s27",
             "random_patterns": 10,
-            "collapse": "dominance",
+            "collapse": "equivalence",
             "sanitize": True,
         }
         spec = JobSpec.from_payload(payload)
-        assert spec.collapse == "dominance" and spec.sanitize
+        assert spec.collapse == "equivalence" and spec.sanitize
         again = JobSpec.from_payload(spec.to_payload())
-        assert again.collapse == "dominance" and again.sanitize
+        assert again.collapse == "equivalence" and again.sanitize

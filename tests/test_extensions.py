@@ -1,19 +1,14 @@
-"""Dominance collapsing, test compaction post-processing, VCD export."""
+"""Test compaction post-processing and VCD export."""
 
 import io
-import random
 
 import pytest
 
-from repro.baselines.deductive import deductive_detects
-from repro.circuit.generate import random_circuit
 from repro.circuit.library import load
 from repro.circuit.netlist import CircuitBuilder
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import CSIM_V
-from repro.faults.collapse import collapse_stuck_at
-from repro.faults.dominance import dominance_collapse
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
+from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, ZERO
 from repro.patterns.postprocess import (
@@ -25,56 +20,6 @@ from repro.patterns.random_gen import random_sequence
 from repro.sim.delays import DelayModel
 from repro.sim.eventsim import EventSimulator
 from repro.sim.vcd import write_vcd
-
-
-class TestDominance:
-    def test_and_gate_output_sa1_dropped(self):
-        builder = CircuitBuilder("and2")
-        builder.add_input("a")
-        builder.add_input("b")
-        builder.add_gate("g", GateType.AND, ["a", "b"])
-        builder.set_output("g")
-        circuit = builder.build()
-        g = circuit.index_of("g")
-        faults = all_stuck_at_faults(circuit)
-        reduced = dominance_collapse(circuit, faults)
-        from repro.faults.model import OUTPUT_PIN, StuckAtFault
-
-        assert StuckAtFault.make(g, OUTPUT_PIN, 1) not in reduced
-        assert StuckAtFault.make(g, 0, 1) in reduced
-
-    def test_reduces_after_equivalence(self):
-        circuit = load("s27")
-        equivalent = collapse_stuck_at(circuit, all_stuck_at_faults(circuit))
-        dominated = dominance_collapse(circuit, equivalent)
-        assert len(dominated) < len(equivalent)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_dominance_implication_combinational(self, seed):
-        """Combinational contract: any vector detecting a kept fault of a
-        dominance pair also detects the dropped dominator."""
-        rng = random.Random(seed + 60)
-        circuit = random_circuit(rng, num_gates=12, num_dffs=0, name=f"dom{seed}")
-        full = all_stuck_at_faults(circuit)
-        reduced = set(dominance_collapse(circuit, full))
-        dropped = [fault for fault in full if fault not in reduced]
-        from repro.faults.dominance import _DOMINANCE_RULES
-        from repro.faults.model import OUTPUT_PIN, StuckAtFault
-
-        for vector_seed in range(6):
-            vector = tuple(
-                rng.choice((ZERO, ONE)) for _ in circuit.inputs
-            )
-            detected = deductive_detects(circuit, vector, full)
-            for dominator in dropped:
-                gate = circuit.gates[dominator.gate]
-                input_value, _ = _DOMINANCE_RULES[gate.gtype]
-                dominated_detected = any(
-                    StuckAtFault.make(gate.index, pin, input_value) in detected
-                    for pin in range(gate.arity)
-                )
-                if dominated_detected:
-                    assert dominator in detected
 
 
 class TestPostprocess:

@@ -7,11 +7,20 @@ import pytest
 from repro.baselines.serial import simulate_serial
 from repro.circuit.generate import random_circuit
 from repro.circuit.library import load
-from repro.faults.collapse import collapse_stuck_at, equivalence_classes
+from repro.faults.collapse import collapse_stuck_at, representative_map, stuck_at_union
 from repro.faults.model import OUTPUT_PIN, FaultKind, StuckAtFault, fault_name
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.logic.tables import GateType
 from repro.patterns.random_gen import random_sequence
+
+
+def equivalence_classes(circuit):
+    """Representative -> members, over the full stuck-at universe."""
+    rep_of = representative_map(stuck_at_union(circuit), all_stuck_at_faults(circuit))
+    classes = {}
+    for fault, representative in rep_of.items():
+        classes.setdefault(representative, []).append(fault)
+    return classes
 
 
 class TestModel:
@@ -87,7 +96,7 @@ class TestCollapse:
         builder.set_output("g")
         circuit = builder.build()
         g = circuit.index_of("g")
-        classes = equivalence_classes(circuit, all_stuck_at_faults(circuit))
+        classes = equivalence_classes(circuit)
         grouped = {
             frozenset(members) for members in classes.values() if len(members) > 1
         }
@@ -107,7 +116,7 @@ class TestCollapse:
         builder.set_output("g")
         circuit = builder.build()
         g = circuit.index_of("g")
-        classes = equivalence_classes(circuit, all_stuck_at_faults(circuit))
+        classes = equivalence_classes(circuit)
         for members in classes.values():
             if StuckAtFault.make(g, OUTPUT_PIN, 0) in members:
                 for pin in range(3):
@@ -116,11 +125,26 @@ class TestCollapse:
     def test_equivalence_classes_partition(self):
         circuit = load("s27")
         faults = all_stuck_at_faults(circuit)
-        classes = equivalence_classes(circuit, faults)
+        classes = equivalence_classes(circuit)
         members = [fault for group in classes.values() for fault in group]
         assert sorted(members) == sorted(faults)
         for representative, group in classes.items():
             assert representative == min(group)
+
+    def test_collapse_unions_through_unlisted_sites(self):
+        """Two pin faults equivalent only through the output-line fault the
+        list leaves out still collapse to one representative."""
+        from repro.circuit.netlist import CircuitBuilder
+
+        builder = CircuitBuilder("and2")
+        builder.add_input("a")
+        builder.add_input("b")
+        builder.add_gate("g", GateType.AND, ["a", "b"])
+        builder.set_output("g")
+        circuit = builder.build()
+        g = circuit.index_of("g")
+        pins = [StuckAtFault.make(g, pin, 0) for pin in (1, 0)]
+        assert collapse_stuck_at(circuit, pins) == [StuckAtFault.make(g, 0, 0)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_collapsed_classes_are_truly_equivalent(self, seed):
@@ -128,7 +152,7 @@ class TestCollapse:
         rng = random.Random(seed)
         circuit = random_circuit(rng, num_inputs=3, num_gates=10, num_dffs=1)
         faults = all_stuck_at_faults(circuit)
-        classes = equivalence_classes(circuit, faults)
+        classes = equivalence_classes(circuit)
         tests = random_sequence(circuit, 30, seed=seed + 100)
         result = simulate_serial(circuit, tests.vectors, faults, drop_detected=False)
         for group in classes.values():
@@ -149,7 +173,7 @@ class TestCollapse:
         collapsed = set(collapse_stuck_at(circuit, all_stuck_at_faults(circuit)))
         # g's output faults and q's D-pin faults both survive or map to
         # different representatives (never merged).
-        classes = equivalence_classes(circuit, all_stuck_at_faults(circuit))
+        classes = equivalence_classes(circuit)
         rep_of = {}
         for representative, group in classes.items():
             for fault in group:

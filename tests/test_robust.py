@@ -17,11 +17,11 @@ from repro.robust import (
     TableCampaign,
     circuit_fingerprint,
     config_fingerprint,
+    invariant_violations,
     read_checkpoint,
     run_checkpointed,
     run_fingerprint,
     run_with_ladder,
-    verify_invariants,
     write_checkpoint,
 )
 from repro.robust.budget import BudgetBreach
@@ -318,7 +318,7 @@ class TestInvariants:
 
         simulator = make_stuck_at_simulator(s27, "csim-MV")
         simulator.run(s27_tests)
-        assert verify_invariants(simulator) == []
+        assert invariant_violations(simulator) == []
 
     def test_violations_reported(self, s27, s27_tests):
         from repro.harness.runner import make_stuck_at_simulator
@@ -327,9 +327,32 @@ class TestInvariants:
         for vector in s27_tests.vectors[:3]:
             simulator.step(vector)
         simulator.vis[0][999] = 7  # a brand-new element the counter missed
-        violations = verify_invariants(simulator)
+        violations = invariant_violations(simulator)
         assert any("illegal logic value" in v for v in violations)
         assert any("counter" in v for v in violations)
+
+    def test_event_engine_lists_and_counter(self, s27, s27_tests):
+        from repro.concurrent import ConcurrentEventFaultSimulator
+
+        simulator = ConcurrentEventFaultSimulator(s27)
+        simulator.run(s27_tests.vectors, period=16)
+        assert invariant_violations(simulator) == []
+        simulator._live += 1
+        assert any(
+            "live-element counter" in v for v in invariant_violations(simulator)
+        )
+
+    @pytest.mark.parametrize("engine", ["PROOFS", "vsim"])
+    def test_word_engine_flip_flop_diffs(self, s27, s27_tests, engine):
+        from repro.harness.runner import make_stuck_at_simulator
+
+        simulator = make_stuck_at_simulator(s27, engine)
+        simulator.run(s27_tests)
+        assert invariant_violations(simulator) == []
+        simulator.ff_diffs[simulator.faults[0]] = {s27.dffs[0]: 7}
+        assert any(
+            "illegal logic value" in v for v in invariant_violations(simulator)
+        )
 
 
 class TestLadder:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze import FaultListSanitizer, SanitizerError
+from repro.robust import FaultListSanitizer, SanitizerError
 from repro.circuit.library import load
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions

@@ -254,6 +254,35 @@ class TestRetryAndDeadLetter:
         assert service.result_bytes(record.job_id) == direct_blob(5)
         assert service.metrics_snapshot()["jobs"]["resurrected"] == 1
 
+    def test_retry_job_resumes_sharded_checkpoints(self, tmp_path):
+        from repro.parallel.runner import run_parallel
+        from repro.robust.budget import Budget
+
+        service = make_service(tmp_path, retry_backoff_base=0.0, max_attempts=1)
+        record, _ = service.submit({**JOB, "jobs": 2})
+        with step_bomb(ConcurrentFaultSimulator, after_steps=0, exception=OSError):
+            service.process_once()
+        assert service.status(record.job_id).state == "dead"
+        # What a dead attempt that got 8 cycles in leaves behind: one
+        # checkpoint per shard under the job's checkpoint path.
+        circuit = load("s27")
+        run_parallel(
+            circuit,
+            random_sequence(circuit, 40, seed=5),
+            "csim-MV",
+            jobs=2,
+            budget=Budget(max_cycles=8),
+            checkpoint_path=service._checkpoint_path(record.job_id),
+            checkpoint_every=4,
+        )
+
+        assert service.retry_job(record.job_id)
+        assert service.drain() == 1
+        finished = service.status(record.job_id)
+        assert finished.state == "done", finished.error
+        assert finished.resumed_from_cycle == 8
+        assert service.result_bytes(record.job_id) == direct_blob(5)
+
     def test_retry_job_refuses_non_terminal_states(self, tmp_path):
         service = make_service(tmp_path)
         record, _ = service.submit(dict(JOB))

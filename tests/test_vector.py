@@ -309,6 +309,14 @@ class TestHarnessIntegration:
             )
             assert set(result.axis_windows) == {axis}
 
+    def test_fixed_axis_refused_when_sharded(self, s27, s27_tests):
+        # The sharded path has no axis relay; a fixed axis must not be
+        # dropped silently on its way to the shard workers.
+        with pytest.raises(ValueError, match="axis_mode"):
+            run_stuck_at(
+                s27, s27_tests, "vsim", word_width=16, jobs=2, axis_mode="pattern"
+            )
+
     def test_parallel_shards_bit_identical(self, s27, s27_tests):
         faults = stuck_at_universe(s27)
         single = run_stuck_at(s27, s27_tests, "vsim", faults, word_width=16)
