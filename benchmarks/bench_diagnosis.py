@@ -4,8 +4,10 @@ Measures the two halves of the diagnosis workflow:
 
 * **build**: wall seconds for the full (no-drop) dictionary build over the
   complete pin-level stuck-at universe, full universe vs equivalence
-  representatives, at 1 and 4 shards — asserting, always, that every
-  variant encodes to bit-identical ``repro-dict/1`` artifact bytes;
+  representatives, at 1 and 4 shards, plus the collapsed single-process
+  build on each dictionary engine (csim-MV, PROOFS and vsim) — asserting,
+  always, that every variant encodes to bit-identical ``repro-dict/1``
+  artifact bytes;
 * **diagnose**: per-query latency of :func:`repro.diagnosis.store.
   diagnosis_report` against a warm (already built and decoded)
   dictionary — one query per detected fault, reported as p50/p95.
@@ -51,11 +53,16 @@ def _best_of(repeats, function, *args, **kwargs):
     return best, result
 
 
-def _build_artifact(circuit, tests, universe, collapse, jobs):
+#: Engines timed on the collapsed single-process build.
+ENGINES = ("csim-MV", "PROOFS", "vsim")
+
+
+def _build_artifact(circuit, tests, universe, collapse, jobs, engine="csim-MV"):
     """One dictionary build, end to end: simulate (sharded when jobs > 1),
     expand class members when collapsed, encode the artifact bytes."""
     responses = build_responses(
-        circuit, tests, faults=universe, collapse=collapse, jobs=jobs
+        circuit, tests, faults=universe, collapse=collapse, jobs=jobs,
+        engine=engine,
     )
     blob = encode_dictionary(
         circuit.name, len(tests), responses, "full", collapse=collapse
@@ -74,42 +81,45 @@ def measure_circuit(name, scale, patterns, jobs_list, repeats):
     tests = workload_tests(name, scale, "random", length=patterns)
     universe = list(all_stuck_at_faults(circuit))
 
+    builds = [
+        (collapse, jobs, "csim-MV")
+        for collapse in (None, "equivalence")
+        for jobs in jobs_list
+    ] + [("equivalence", 1, engine) for engine in ENGINES if engine != "csim-MV"]
     build_rows = []
-    reference_blob = None
     reference_responses = None
-    for collapse in (None, "equivalence"):
-        for jobs in jobs_list:
-            wall, (responses, blob) = _best_of(
-                repeats, _build_artifact, circuit, tests, universe, collapse, jobs
-            )
-            if reference_responses is None:
-                reference_blob = blob
-                reference_responses = responses
-            else:
-                # The manifest records the collapse mode, so whole-artifact
-                # bytes differ across modes by that one field; the response
-                # maps themselves must agree exactly.
-                assert responses == reference_responses, (
-                    f"{name}: collapse={collapse} jobs={jobs} responses are "
-                    "not bit-identical to the full serial build — the "
-                    "dictionary builder is unsound"
-                )
-                if collapse is None:
-                    assert blob == reference_blob, (
-                        f"{name}: jobs={jobs} artifact differs from the "
-                        "serial build — encoding is order-dependent"
-                    )
-            mode = "collapsed" if collapse else "full"
-            build_rows.append(
-                {
-                    "circuit": name,
-                    "mode": mode,
-                    "jobs": jobs,
-                    "faults": len(universe),
-                    "wall_seconds": round(wall, 4),
-                    "artifact_bytes": len(blob),
-                }
-            )
+    reference_blobs = {}
+    for collapse, jobs, engine in builds:
+        wall, (responses, blob) = _best_of(
+            repeats, _build_artifact, circuit, tests, universe, collapse, jobs, engine
+        )
+        if reference_responses is None:
+            reference_responses = responses
+        # The manifest records the collapse mode, so whole-artifact bytes
+        # differ across modes by that one field; the response maps
+        # themselves must agree exactly, and within a mode so must the
+        # bytes, whatever the engine and shard count.
+        assert responses == reference_responses, (
+            f"{name}: collapse={collapse} jobs={jobs} engine={engine} responses "
+            "are not bit-identical to the full serial build — the dictionary "
+            "builder is unsound"
+        )
+        reference_blob = reference_blobs.setdefault(collapse, blob)
+        assert blob == reference_blob, (
+            f"{name}: collapse={collapse} jobs={jobs} engine={engine} artifact "
+            "differs from the first build of its mode"
+        )
+        build_rows.append(
+            {
+                "circuit": name,
+                "mode": "collapsed" if collapse else "full",
+                "engine": engine,
+                "jobs": jobs,
+                "faults": len(universe),
+                "wall_seconds": round(wall, 4),
+                "artifact_bytes": len(blob),
+            }
+        )
 
     dictionary = assemble_dictionary(
         circuit.name, len(tests), reference_responses, "full"
@@ -162,7 +172,8 @@ def main(argv=None) -> int:
         query_rows.append(query)
         for row in rows:
             print(
-                f"  build {row['circuit']}:{row['mode']}:jobs{row['jobs']}: "
+                f"  build {row['circuit']}:{row['mode']}:{row['engine']}:"
+                f"jobs{row['jobs']}: "
                 f"{row['wall_seconds']:.3f}s over {row['faults']} faults "
                 f"({row['artifact_bytes']} bytes)"
             )
@@ -174,10 +185,16 @@ def main(argv=None) -> int:
 
     path = benchlib.write_bench_json(
         "diagnosis",
-        config={"scale": scale, "patterns": patterns, "jobs": jobs_list},
+        config={
+            "scale": scale, "patterns": patterns, "jobs": jobs_list,
+            "engines": list(ENGINES),
+        },
         samples=[
             {
-                "label": f"build:{row['circuit']}:{row['mode']}:jobs{row['jobs']}",
+                "label": (
+                    f"build:{row['circuit']}:{row['mode']}:{row['engine']}:"
+                    f"jobs{row['jobs']}"
+                ),
                 "seconds": row["wall_seconds"],
             }
             for row in build_rows

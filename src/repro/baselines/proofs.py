@@ -28,9 +28,10 @@ algorithm on one substrate rather than C binary vs Python (DESIGN.md §3).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
+from repro.drive import drive
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
@@ -177,45 +178,14 @@ class ProofsSimulator:
             trace.cycle_end(self.cycle, live=live, visible=live, invisible=0)
         return newly
 
+    def advance(self, vectors: Iterator[Sequence[int]], limit: int) -> int:
+        """Apply the next vector (see :mod:`repro.drive`)."""
+        self.step(next(vectors))
+        return 1
+
     def run(self, vectors: Iterable[Sequence[int]], budget=None) -> FaultSimResult:
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start(self.engine_name, self.circuit.name)
-        clock = budget.start() if budget else None
-        start = time.perf_counter()
-        applied = 0
-        truncation_reason = None
-        for vector in vectors:
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            self.step(vector)
-            applied += 1
-        elapsed = time.perf_counter() - start
-        result = FaultSimResult(
-            engine=self.engine_name,
-            circuit_name=self.circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-            responses=(
-                self.responses_by_fault() if self.record_responses else None
-            ),
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
+        """Simulate a whole sequence, budgeted (see :func:`repro.drive.drive`)."""
+        return drive(self, vectors, budget)
 
     def responses_by_fault(self) -> Dict[Fault, Tuple[Failure, ...]]:
         """The recorded responses keyed by fault, in sorted-fault order.

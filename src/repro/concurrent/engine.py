@@ -40,13 +40,14 @@ values, and their events seed the next cycle's queue.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.circuit.macro import extract_macros
 from repro.circuit.netlist import Circuit
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.options import SimOptions
+from repro.drive import drive
 from repro.faults.model import OUTPUT_PIN, Fault, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import (
@@ -474,64 +475,19 @@ class ConcurrentFaultSimulator:
         )
         return newly_detected
 
-    def run(
-        self,
-        vectors: Iterable[Sequence[int]],
-        stop_at_coverage: Optional[float] = None,
-        budget=None,
-    ) -> FaultSimResult:
-        """Simulate a whole sequence and package the result.
+    @property
+    def engine_name(self) -> str:
+        """The label results and traces carry: the variant's name."""
+        return self.options.variant_name
 
-        ``stop_at_coverage`` (fraction) ends the run early once reached —
-        useful for test-generation loops.  A ``budget``
-        (:class:`repro.robust.budget.Budget`) is checked at every cycle
-        boundary; on a breach the run stops cleanly and the result comes
-        back with ``truncated=True`` and the breach as its reason.
-        """
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start(self.options.variant_name, self.original_circuit.name)
-        clock = budget.start() if budget else None
-        start = time.perf_counter()
-        applied = 0
-        truncation_reason = None
-        for vector in vectors:
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            self.step(vector)
-            applied += 1
-            if (
-                stop_at_coverage is not None
-                and self.faults
-                and len(self.detected) / len(self.faults) >= stop_at_coverage
-            ):
-                break
-        elapsed = time.perf_counter() - start
-        result = FaultSimResult(
-            engine=self.options.variant_name,
-            circuit_name=self.original_circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-            responses=(
-                self.responses_by_fault() if self.record_responses else None
-            ),
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
+    def advance(self, vectors: Iterator[Sequence[int]], limit: int) -> int:
+        """Apply the next vector (see :mod:`repro.drive`)."""
+        self.step(next(vectors))
+        return 1
+
+    def run(self, vectors: Iterable[Sequence[int]], budget=None) -> FaultSimResult:
+        """Simulate a whole sequence, budgeted (see :func:`repro.drive.drive`)."""
+        return drive(self, vectors, budget)
 
     def responses_by_fault(self) -> Dict[Fault, Tuple[Failure, ...]]:
         """The recorded responses keyed by fault, in deterministic fid order.

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import time as time_module
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit, evaluate_gate
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.options import SimOptions
+from repro.drive import drive
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
@@ -54,6 +55,10 @@ GOOD = -1
 
 class ConcurrentEventFaultSimulator:
     """Concurrent stuck-at fault simulation on a transport-delay model."""
+
+    engine_name = "csim-AD"
+    record_responses = False
+    period = 0  # clock period of the current run(), in delay units
 
     def __init__(
         self,
@@ -516,41 +521,14 @@ class ConcurrentEventFaultSimulator:
         trace.cycle_end(self.cycle, live=self._live, visible=visible, invisible=0)
         return newly
 
+    def advance(self, vectors: Iterator[Sequence[int]], limit: int) -> int:
+        """One clock period of ``self.period`` (see :mod:`repro.drive`)."""
+        self.run_cycle(next(vectors), self.period)
+        return 1
+
     def run(
         self, vectors: Sequence[Sequence[int]], period: int, budget=None
     ) -> FaultSimResult:
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start("csim-AD", self.circuit.name)
-        clock = budget.start() if budget else None
-        start = time_module.perf_counter()
-        applied = 0
-        truncation_reason = None
-        for vector in vectors:
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            self.run_cycle(vector, period)
-            applied += 1
-        elapsed = time_module.perf_counter() - start
-        result = FaultSimResult(
-            engine="csim-AD",
-            circuit_name=self.circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
+        """Simulate *vectors* with a clock of *period* time units."""
+        self.period = period
+        return drive(self, vectors, budget)

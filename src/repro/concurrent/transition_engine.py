@@ -40,8 +40,10 @@ from repro.circuit.netlist import Circuit
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
+from repro.drive import drive
 from repro.faults.model import Fault, OUTPUT_PIN
 from repro.faults.transition import TransitionFault, all_transition_faults, delayed_value
+from repro.result import FaultSimResult
 
 
 class TransitionFaultSimulator(ConcurrentFaultSimulator):
@@ -260,9 +262,9 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
                 line = circuit.gates[descriptor.site_gate].fanin[descriptor.pin]
             descriptor.prev_site_value = vis[line].get(descriptor.fid, good[line])
 
-    def run(self, vectors: Iterable[Sequence[int]], stop_at_coverage=None, budget=None):
-        result = super().run(vectors, stop_at_coverage, budget=budget)
-        result.engine = f"csim-T{'' if not self.options.split_lists else 'V'}"
-        if result.telemetry is not None:
-            result.telemetry.engine = result.engine
-        return result
+    @property
+    def engine_name(self) -> str:
+        return "csim-TV" if self.options.split_lists else "csim-T"
+
+    def run(self, vectors: Iterable[Sequence[int]], budget=None) -> FaultSimResult:
+        return drive(self, vectors, budget)

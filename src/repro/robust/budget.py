@@ -1,18 +1,18 @@
-"""Run budgets and the per-cycle watchdog every engine consults.
+"""Run budgets and the watchdog the engine drive loop consults.
 
 A :class:`Budget` bounds one simulation run along three axes — wall-clock
 seconds, clock cycles, and modelled fault-element memory (the
 :class:`repro.result.MemoryStats` peak, i.e. the paper's units, not Python
-heap bytes).  Engines check the budget between cycles; on a breach they
-stop *cleanly*: the partial :class:`repro.result.FaultSimResult` comes back
-with ``truncated=True`` and a human-readable ``truncation_reason`` instead
-of the run hanging or dying, and the breach is reported through the run's
-:class:`repro.obs.Tracer` (``budget_breach`` hook).
+heap bytes).  :func:`repro.drive.drive` checks it between engine advances
+(a cycle, or one vsim window) and clips every advance at a cycle budget;
+on a breach the run stops *cleanly*: the partial
+:class:`repro.result.FaultSimResult` comes back with ``truncated=True`` and
+a human-readable ``truncation_reason``, and the breach is reported through
+the run's :class:`repro.obs.Tracer` (``budget_breach`` hook).
 
-Cycle granularity is the honest contract for a single-threaded pure-Python
-engine: a breach is noticed at the next cycle boundary, so one cycle may
-overshoot the wall-clock limit, but no partial-cycle state ever leaks into
-the result.
+A cycle budget is exact.  A wall-clock or memory breach is noticed at the
+next advance boundary, so one cycle (or window) may overshoot, but no
+partial state ever leaks into the result.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Budget:
 
 
 class BudgetClock:
-    """An armed budget: call :meth:`check` at every cycle boundary."""
+    """An armed budget: call :meth:`check` between engine advances."""
 
     def __init__(self, budget: Budget, started: float) -> None:
         self.budget = budget

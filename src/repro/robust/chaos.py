@@ -22,7 +22,7 @@ actually guard:
 * :func:`truncate_file` — chops the tail off a checkpoint so the
   integrity check in :func:`repro.robust.checkpoint.read_checkpoint`
   must refuse it with a clean diagnostic.
-* :func:`step_bomb` — patches an engine's ``step`` to die after N cycles
+* :func:`step_bomb` — patches an engine's ``advance`` to die after N cycles
   (a ``KeyboardInterrupt`` by default, the shape of a worker kill).  The
   serving layer's kill-and-resume tests arm it to murder a worker
   mid-job and assert the recovered job resumes from its checkpoint with
@@ -300,36 +300,43 @@ def step_bomb(
     exception: Type[BaseException] = KeyboardInterrupt,
     hang_seconds: float = 0.0,
 ) -> Iterator[dict]:
-    """Patch ``simulator_class.step`` to raise after *after_steps* calls.
+    """Patch ``simulator_class.advance`` to raise after *after_steps* cycles.
 
-    Models a worker killed mid-job: the default ``KeyboardInterrupt`` is
-    what a SIGINT/SIGKILL-shaped death looks like from inside, so the
-    resilient runners convert it to ``CampaignInterrupted`` and the last
-    periodic checkpoint on disk remains the resume point.  A nonzero
+    Models a worker killed mid-job.  Cycles are counted as the drive loop
+    applies them, and the advance that reaches the kill point is clipped
+    there, so the kill lands at cycle ``after_steps + 1`` even inside a
+    ``vsim`` window.  The default ``KeyboardInterrupt`` is what a
+    SIGINT/SIGKILL-shaped death looks like from inside, so the resilient
+    runners convert it to ``CampaignInterrupted`` and the last periodic
+    checkpoint on disk remains the resume point.  A nonzero
     ``hang_seconds`` sleeps that long *before* raising — the shape of a
     hung (not merely dead) worker: heartbeats stop while the thread is
     still alive, so only lease expiry can reclaim the job.  Yields a
-    mutable counter dict (``{"calls": N}``) so tests can assert how far
-    the victim got; the patch is always removed on exit.
+    mutable counter dict (``{"calls": N}``, N counting the cycle killed)
+    so tests can assert how far the victim got; the patch is always
+    removed on exit.
     """
     import time as _time
 
-    real_step = simulator_class.step
+    real_advance = simulator_class.advance
     state = {"calls": 0}
 
-    def bombed_step(self, vector):
-        state["calls"] += 1
-        if state["calls"] > after_steps:
+    def bombed_advance(self, vectors, limit):
+        room = after_steps - state["calls"]
+        if room <= 0:
+            state["calls"] += 1
             if hang_seconds > 0.0:
                 _time.sleep(hang_seconds)
             raise exception()
-        return real_step(self, vector)
+        applied = real_advance(self, vectors, min(limit, room))
+        state["calls"] += applied
+        return applied
 
-    simulator_class.step = bombed_step
+    simulator_class.advance = bombed_advance
     try:
         yield state
     finally:
-        simulator_class.step = real_step
+        simulator_class.advance = real_advance
 
 
 def truncate_file(path: str, keep_bytes: int) -> None:

@@ -4,11 +4,11 @@ Two shapes of campaign live here:
 
 * :func:`run_checkpointed` — one engine over one test sequence, with
   periodic durable checkpoints (engine ``snapshot()`` + cycle index +
-  config fingerprint), budget enforcement at every cycle boundary, and
-  Ctrl-C handling that flushes a final checkpoint at a clean cycle
-  boundary before raising :class:`CampaignInterrupted`.  A resumed run is
-  bit-identical to an uninterrupted one: the snapshot carries detections,
-  work counters and the memory model, so only ``wall_seconds`` differs.
+  config fingerprint), budgets, and Ctrl-C handling that flushes a final
+  checkpoint at a clean advance boundary (see :mod:`repro.drive`) before
+  raising :class:`CampaignInterrupted`.  A resumed run is bit-identical to
+  an uninterrupted one: the snapshot carries detections, work counters
+  and the memory model, so only ``wall_seconds`` differs.
 * :class:`TableCampaign` — the paper-table campaign (many circuits ×
   engines).  Progress is durable per completed cell; resuming skips
   finished cells and recomputes nothing.
@@ -20,14 +20,13 @@ would be worse than starting over.
 
 from __future__ import annotations
 
-import signal
-import time
 from typing import Callable, Optional
 
 from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
 from repro.concurrent.transition_engine import TransitionFaultSimulator
-from repro.harness.runner import WORD_ENGINES, make_stuck_at_simulator
+from repro.drive import drive
+from repro.harness.runner import make_stuck_at_simulator
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
 from repro.robust.budget import Budget
@@ -81,17 +80,13 @@ def _build_simulator(
                 "response recording (fault dictionaries) only supports the "
                 "stuck-at model"
             )
-        simulator = TransitionFaultSimulator(
+        return TransitionFaultSimulator(
             circuit, faults, options or SimOptions(split_lists=True), tracer=tracer
         )
-        label = "csim-TV" if simulator.options.split_lists else "csim-T"
-        return simulator, label
-    simulator = make_stuck_at_simulator(
+    return make_stuck_at_simulator(
         circuit, engine, faults, options=options, tracer=tracer,
         word_width=word_width, record_responses=record_responses,
     )
-    label = engine if engine in WORD_ENGINES else simulator.options.variant_name
-    return simulator, label
 
 
 def run_checkpointed(
@@ -118,17 +113,21 @@ def run_checkpointed(
     :mod:`repro.robust.checkpoint`) and once more on interrupt or budget
     truncation.  With ``resume`` the run restarts from the checkpoint and
     produces a result identical — detections, counters, memory — to a run
-    that was never interrupted.
+    that was never interrupted.  (One exception: after a cycle budget
+    stopped vsim between checkpoints, its resumed windows start at that
+    cycle, so its work counters and memory figures may differ.)
 
-    Ctrl-C is latched and honoured at the next cycle boundary, so the
-    final checkpoint always captures a clean state; the exception raised
+    Ctrl-C is latched and honoured at the next advance boundary (a cycle,
+    or a vsim window), so the final checkpoint always captures a clean
+    state; the exception raised
     is :class:`CampaignInterrupted` (a ``KeyboardInterrupt``), carrying
     the checkpoint path for the caller's resume hint.
     """
-    simulator, label = _build_simulator(
+    simulator = _build_simulator(
         circuit, engine, transition, faults, options, tracer,
         word_width=word_width, record_responses=record_responses,
     )
+    label = simulator.engine_name
     fingerprint = run_fingerprint(
         circuit, tests, label, simulator.faults, transition, fingerprint_extra
     )
@@ -158,80 +157,21 @@ def run_checkpointed(
             ),
         )
 
-    # Latch SIGINT so interrupts land between cycles: the final checkpoint
-    # must never capture a half-simulated cycle.  Falls back to plain
-    # KeyboardInterrupt handling off the main thread.
-    interrupted = {"hit": False}
-    previous_handler = None
     try:
-        previous_handler = signal.signal(
-            signal.SIGINT, lambda signum, frame: interrupted.update(hit=True)
+        return drive(
+            simulator,
+            tests.vectors,
+            budget,
+            start=start_cycle,
+            every=checkpoint_every if checkpoint_path is not None else 0,
+            save=save,
         )
-    except ValueError:
-        previous_handler = None
-
-    trace = tracer
-    if trace is not None:
-        trace.run_start(label, circuit.name)
-    clock = budget.start() if budget else None
-    started = time.perf_counter()
-    truncation_reason = None
-    vectors = tests.vectors
-    try:
-        for index in range(start_cycle, len(vectors)):
-            if interrupted["hit"]:
-                save(simulator.cycle)
-                raise CampaignInterrupted(checkpoint_path, simulator.cycle)
-            if clock is not None:
-                breach = clock.check(
-                    simulator.counters.cycles, simulator.memory.peak_bytes
-                )
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            simulator.step(vectors[index])
-            applied = index + 1
-            if (
-                checkpoint_path is not None
-                and checkpoint_every
-                and (applied - start_cycle) % checkpoint_every == 0
-                and applied < len(vectors)
-            ):
-                save(applied)
     except KeyboardInterrupt:
-        # Interrupt delivered outside the latched window (non-main thread,
-        # or raised synchronously from inside the engine): the in-memory
-        # state may be mid-cycle, so no snapshot is taken here — the last
-        # periodic checkpoint on disk remains the resume point.
+        # Either a latched Ctrl-C, already flushed to a final checkpoint, or
+        # an interrupt delivered outside the latch (non-main thread, or
+        # raised from inside the engine), where the in-memory state may be
+        # mid-window and the last periodic checkpoint stays the resume point.
         raise CampaignInterrupted(checkpoint_path, simulator.cycle) from None
-    finally:
-        if previous_handler is not None:
-            signal.signal(signal.SIGINT, previous_handler)
-
-    save(simulator.cycle)
-    elapsed = time.perf_counter() - started
-    result = FaultSimResult(
-        engine=label,
-        circuit_name=circuit.name,
-        num_faults=len(simulator.faults),
-        num_vectors=simulator.counters.cycles,
-        detected=dict(simulator.detected),
-        potentially_detected=dict(simulator.potentially_detected),
-        counters=simulator.counters,
-        memory=simulator.memory,
-        wall_seconds=elapsed,
-        truncated=truncation_reason is not None,
-        truncation_reason=truncation_reason,
-        responses=(
-            simulator.responses_by_fault() if record_responses else None
-        ),
-    )
-    if trace is not None:
-        trace.run_end(elapsed)
-        result.telemetry = trace.telemetry()
-    return result
 
 
 class TableCampaign:

@@ -29,21 +29,28 @@ simulation.  For one fault over a window of ``W`` vectors:
    slot final, so the iteration reaches the exact fixpoint in at most
    ``W`` passes — usually 2-3, since state divergence rarely spans the
    window;
-4. detections read off primary-output words: the earliest slot whose
-   good value is binary and differs binarily is the hard-detection
-   cycle; the earliest unknown-faulty slot is the potential-detection
-   cycle, recorded only if it does not come after the hard one (the
-   per-cycle engines' record-potentials-before-hard ordering).  Outgoing
-   flip-flop diffs come from the last slot's D words.
+4. each primary output yields one *mismatch* word (slots whose good
+   value is binary and differs binarily) and one *unknown* word (binary
+   good, unknown faulty).  The earliest mismatch slot is the
+   hard-detection cycle; the earliest unknown slot is the
+   potential-detection cycle, recorded in detect mode only if it does
+   not come after the hard one (the per-cycle engines' record-potentials
+   -before-hard ordering).  Outgoing flip-flop diffs come from the last
+   slot's D words.
 
 Because both axes implement the same per-cycle semantics, axis choice
 never changes detections — the property suite and the cross-validation
 tests (vs ``csim-MV`` and the serial oracle) pin bit-identity.
 
-``step()`` is inherited from PROOFS (single-cycle, fault-axis), which is
-what the checkpointed runner drives — snapshots therefore never capture a
-half-window, and resumed runs stay bit-identical regardless of how the
-scheduler would have windowed the uninterrupted run.
+**Record mode** (``record_responses=True``, dictionary building) runs in
+the same windows but drops nothing: every window-active fault is
+simulated, keeps its flip-flop diffs, and appends one ``(cycle,
+po_position)`` failure per mismatch bit, in the PROOFS loop's (cycle,
+output) order; its potential detection is the first unknown slot, even
+after the hard one.  :meth:`VectorFaultSimulator.advance` runs one window
+clipped to the limit :func:`repro.drive.drive` hands it — at every
+checkpoint and at a cycle budget — so snapshots fall on window
+boundaries and a truncated run stops at the exact cycle.
 
 An optional numpy path (:mod:`repro.vector.plane`) evaluates pattern
 windows for *all* live faults at once on a (faults x patterns) plane of
@@ -52,10 +59,14 @@ windows for *all* live faults at once on a (faults x patterns) plane of
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
+from repro.drive import drive
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.baselines.proofs import ProofsSimulator
 from repro.logic.tables import GateType
@@ -63,12 +74,35 @@ from repro.logic.values import ONE, X
 from repro.obs.tracer import Tracer
 from repro.result import FaultSimResult
 from repro.vector.packing import broadcast_word, evaluate_gate_word, set_slot
-from repro.vector.scheduler import AxisDecision, AxisScheduler
+from repro.vector.scheduler import AxisScheduler
 
 #: Engine name in the registry (``csim-V`` was already taken by the
 #: split-lists concurrent variant since the seed, so the vectorized
 #: kernel registers as ``vsim``).
 ENGINE_NAME = "vsim"
+
+#: What one fault's pass through a window yields, on both window paths:
+#: ``(mismatch words, unknown words, outgoing flip-flop diffs)`` with one
+#: word per primary output, bit ``t`` standing for slot ``t``.
+WindowOutcome = Tuple[List[int], List[int], Dict[int, int]]
+
+
+def _first_slot(words: List[int]) -> Optional[int]:
+    """The earliest slot set in any of *words*, or None."""
+    combined = functools.reduce(operator.or_, words, 0)
+    return (combined & -combined).bit_length() - 1 if combined else None
+
+
+def _failing_slots(mismatch: List[int]) -> List[Tuple[int, int]]:
+    """Every ``(slot, po_position)`` set in *mismatch*, in slot order."""
+    failing: List[Tuple[int, int]] = []
+    for position, word in enumerate(mismatch):
+        while word:
+            low = word & -word
+            failing.append((low.bit_length() - 1, position))
+            word ^= low
+    failing.sort()
+    return failing
 
 
 class VectorFaultSimulator(ProofsSimulator):
@@ -126,8 +160,6 @@ class VectorFaultSimulator(ProofsSimulator):
 
     def reset(self) -> None:
         super().reset()
-        #: Scheduler decisions, one per window, in run order.
-        self.axis_log: List[AxisDecision] = []
         #: Window counts per axis (mirrored onto the result).
         self.axis_windows: Dict[str, int] = {}
 
@@ -135,97 +167,40 @@ class VectorFaultSimulator(ProofsSimulator):
 
     def snapshot(self) -> dict:
         state = super().snapshot()
-        state["axis_log"] = list(self.axis_log)
         state["axis_windows"] = dict(self.axis_windows)
         return state
 
     def restore(self, state: dict) -> None:
         super().restore(state)
-        self.axis_log = list(state.get("axis_log", ()))
         self.axis_windows = dict(state.get("axis_windows", {}))
 
     # ------------------------------------------------------------------
-    # windowed run loop
+    # windowed advance
     # ------------------------------------------------------------------
 
-    def run(self, vectors: Iterable[Sequence[int]], budget: Any = None) -> FaultSimResult:
+    def advance(self, vectors: Iterator[Sequence[int]], limit: int) -> int:
+        """Run one scheduled window of at most *limit* vectors.
+
+        The scheduler sees every fault as live in record mode, where
+        nothing is dropped.
+        """
         if self.record_responses:
-            # Dictionary-building mode records per-cycle output mismatches,
-            # which only the per-cycle (fault-axis) path observes — pattern
-            # windows judge detection on whole words.  Delegate to the
-            # inherited PROOFS loop; ``step()`` is the same code the
-            # checkpointed runner drives, so recording composes with
-            # snapshots unchanged.
-            result = super().run(vectors, budget=budget)
-            result.axis_windows = dict(self.axis_windows)
-            return result
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start(ENGINE_NAME, self.circuit.name)
-        clock = budget.start() if budget else None
-        start = time.perf_counter()
-        vector_list = [vector for vector in vectors]
-        applied = 0
-        truncation_reason = None
-        index = 0
-        while index < len(vector_list):
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
+            live = len(self.faults)
+        else:
             live = sum(1 for fault in self.faults if fault not in self.detected)
-            depth = len(vector_list) - index
-            decision = self.scheduler.choose(self.cycle + 1, live, depth)
-            self.axis_log.append(decision)
-            self.axis_windows[decision.axis] = self.axis_windows.get(decision.axis, 0) + 1
-            window = vector_list[index : index + self.word_width]
-            if decision.axis == "pattern":
-                self._pattern_window(window)
-                applied += len(window)
-                index += len(window)
-            else:
-                # Fault axis: per-cycle PROOFS steps, budget-checked per
-                # cycle like the baseline (pattern windows check at the
-                # window boundary — the documented coarser granularity).
-                for vector in window:
-                    if clock is not None:
-                        breach = clock.check(
-                            self.counters.cycles, self.memory.peak_bytes
-                        )
-                        if breach is not None:
-                            truncation_reason = breach.describe()
-                            if trace is not None:
-                                trace.budget_breach(
-                                    breach.kind, breach.limit, breach.actual
-                                )
-                            break
-                    self.step(vector)
-                    applied += 1
-                    index += 1
-                if truncation_reason is not None:
-                    break
-        elapsed = time.perf_counter() - start
-        result = FaultSimResult(
-            engine=ENGINE_NAME,
-            circuit_name=self.circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-            axis_windows=dict(self.axis_windows),
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
+        decision = self.scheduler.choose(self.cycle + 1, live, limit)
+        self.axis_windows[decision.axis] = self.axis_windows.get(decision.axis, 0) + 1
+        window = list(itertools.islice(vectors, min(limit, self.word_width)))
+        if decision.axis == "pattern":
+            self._pattern_window(window)
+        else:
+            for vector in window:
+                self.step(vector)
+        return len(window)
+
+    def run(self, vectors: Iterable[Sequence[int]], budget: Any = None) -> FaultSimResult:
+        """Simulate a whole sequence, budgeted (see :func:`repro.drive.drive`)."""
+        return drive(self, vectors, budget)
 
     # ------------------------------------------------------------------
     # pattern-axis window
@@ -284,10 +259,11 @@ class VectorFaultSimulator(ProofsSimulator):
 
         if trace is not None:
             t1 = time.perf_counter()
+        record = self.record_responses
         active = [
             fault
             for fault in self.faults
-            if fault not in self.detected
+            if (record or fault not in self.detected)
             and self._window_active(fault, mask, good_word)
         ]
 
@@ -301,25 +277,33 @@ class VectorFaultSimulator(ProofsSimulator):
                 for fault in active
             ]
 
-        for fault, (hard_slot, pot_slot, new_diffs) in zip(active, outcomes):
+        for fault, (mismatch, unknown, new_diffs) in zip(active, outcomes):
+            hard_slot = _first_slot(mismatch)
+            pot_slot = _first_slot(unknown)
             if (
                 pot_slot is not None
                 and fault not in self.potentially_detected
-                and (hard_slot is None or pot_slot <= hard_slot)
+                and (record or hard_slot is None or pot_slot <= hard_slot)
             ):
                 cycle = base_cycle + pot_slot + 1
                 self.potentially_detected[fault] = cycle
                 if trace is not None:
                     trace.detect(self._fault_ids[fault], cycle, potential=True)
             if hard_slot is not None:
-                cycle = base_cycle + hard_slot + 1
-                self.detected[fault] = cycle
-                self.ff_diffs[fault] = {}
-                if trace is not None:
-                    trace.detect(self._fault_ids[fault], cycle)
-                    trace.drop(self._fault_ids[fault], cycle)
-            else:
-                self.ff_diffs[fault] = new_diffs
+                if record:
+                    self._responses.setdefault(fault, []).extend(
+                        (base_cycle + slot + 1, position)
+                        for slot, position in _failing_slots(mismatch)
+                    )
+                if fault not in self.detected:
+                    cycle = base_cycle + hard_slot + 1
+                    self.detected[fault] = cycle
+                    if trace is not None:
+                        trace.detect(self._fault_ids[fault], cycle)
+                        if not record:
+                            trace.drop(self._fault_ids[fault], cycle)
+            # Detect mode drops a detected fault; record mode keeps it.
+            self.ff_diffs[fault] = new_diffs if record or hard_slot is None else {}
 
         live = sum(len(diffs) for diffs in self.ff_diffs.values())
         self.memory.note_elements(live)
@@ -354,11 +338,12 @@ class VectorFaultSimulator(ProofsSimulator):
         mask: int,
         snaps: List[List[int]],
         good_word: Any,
-    ) -> Tuple[Optional[int], Optional[int], Dict[int, int]]:
+    ) -> WindowOutcome:
         """Propagate one fault through a whole window of cycles at once.
 
-        Returns ``(hard_slot, potential_slot, outgoing_ff_diffs)`` with
-        slots window-relative (0-based) or None.
+        Returns ``(mismatch, unknown, outgoing_ff_diffs)``: one mismatch
+        word and one unknown word per primary output (bit ``t`` = slot
+        ``t`` of the window) and the flip-flop diffs after the window.
         """
         circuit = self.circuit
         gates = circuit.gates
@@ -486,40 +471,33 @@ class VectorFaultSimulator(ProofsSimulator):
                 f"pattern window failed to converge within {width + 1} passes"
             )
 
-        # Detection: earliest hard / potential slots over all touched POs.
-        hard_slot: Optional[int] = None
-        pot_slot: Optional[int] = None
+        # One mismatch and one unknown word per primary output.
+        mismatch: List[int] = []
+        unknown: List[int] = []
         for po_index in circuit.outputs:
             word = words.get(po_index)
-            if word is None:
-                continue  # untouched: identical to the good machine
+            if word is None:  # untouched: identical to the good machine
+                mismatch.append(0)
+                unknown.append(0)
+                continue
             f_ones, f_xs = word
             g_ones, g_xs = good_word(po_index)
             binary_good = mask & ~g_xs
-            unknown = f_xs & binary_good
-            mismatch = (f_ones ^ g_ones) & binary_good & ~f_xs
-            if unknown:
-                slot = (unknown & -unknown).bit_length() - 1
-                if pot_slot is None or slot < pot_slot:
-                    pot_slot = slot
-            if mismatch:
-                slot = (mismatch & -mismatch).bit_length() - 1
-                if hard_slot is None or slot < hard_slot:
-                    hard_slot = slot
+            unknown.append(f_xs & binary_good)
+            mismatch.append((f_ones ^ g_ones) & binary_good & ~f_xs)
 
         # Outgoing flip-flop diffs from the last slot's D words.
         new_diffs: Dict[int, int] = {}
-        if hard_slot is None:
-            last = width - 1
-            last_bit = 1 << last
-            for ff_index in dirty_ffs:
-                d_ones, d_xs = latched_word(ff_index)
-                if d_ones & last_bit:
-                    value = ONE
-                elif d_xs & last_bit:
-                    value = X
-                else:
-                    value = 0
-                if value != snaps[last][gates[ff_index].fanin[0]]:
-                    new_diffs[ff_index] = value
-        return (hard_slot, pot_slot, new_diffs)
+        last = width - 1
+        last_bit = 1 << last
+        for ff_index in dirty_ffs:
+            d_ones, d_xs = latched_word(ff_index)
+            if d_ones & last_bit:
+                value = ONE
+            elif d_xs & last_bit:
+                value = X
+            else:
+                value = 0
+            if value != snaps[last][gates[ff_index].fanin[0]]:
+                new_diffs[ff_index] = value
+        return (mismatch, unknown, new_diffs)

@@ -30,18 +30,27 @@ column through ``width`` dense sweeps.  Rows still changing at
 *compact sub-plane* — the same algorithm over just the divergent columns,
 whose sweeps cost near the vectorization floor.
 
+Every large array of a window is carved from one anonymous ``mmap`` and
+filled with ``out=`` operations: a record-mode window on s1196 holds
+about 18 MB, which glibc's dynamic mmap threshold would keep resident
+after the window, while the mapping goes back to the OS with it.
+
 numpy is an optional dependency: :func:`available` gates the import, and
 the kernel refuses ``use_numpy=True`` up front when it is missing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import mmap
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.logic.tables import GateType
-from repro.logic.values import ONE, X
+from repro.logic.values import ONE, X, ZERO
 from repro.vector.packing import broadcast_word, set_slot
+
+if TYPE_CHECKING:
+    from repro.vector.kernel import WindowOutcome
 
 _np: Any
 try:  # pragma: no cover - exercised via available()
@@ -130,31 +139,73 @@ def _rank_plan(sim: Any) -> Tuple[Any, Any, Any]:
 
 
 def _group_output(
-    gtype: GateType, op_ones: Any, op_xs: Any, mask: Any
+    gtype: GateType, op_ones: Any, op_xs: Any, mask: Any, out: Tuple[Any, Any, Any]
 ) -> Tuple[Any, Any]:
     """Evaluate one gate-type batch: reduce ``(G, k, F)`` operand blocks.
 
     The same two-mask algebra as :func:`repro.vector.packing.
     evaluate_gate_word`, with the fanin loop replaced by bitwise
-    reductions along the operand axis.
+    reductions along the operand axis.  Results land in the three
+    ``(G, F)`` buffers of *out*; *op_xs* is overwritten.  Returns
+    ``(one_out, x_out)``.
     """
-    if gtype in (GateType.AND, GateType.NAND):
-        all_one = _np.bitwise_and.reduce(op_ones, axis=1)
-        any_zero = _np.bitwise_or.reduce(mask & ~(op_ones | op_xs), axis=1)
-        x_out = mask & ~any_zero & ~all_one
-        one_out = any_zero if gtype is GateType.NAND else all_one
-    elif gtype in (GateType.OR, GateType.NOR):
-        any_one = _np.bitwise_or.reduce(op_ones, axis=1)
-        all_zero = _np.bitwise_and.reduce(mask & ~(op_ones | op_xs), axis=1)
-        x_out = mask & ~any_one & ~all_zero
-        one_out = all_zero if gtype is GateType.NOR else any_one
-    else:  # XOR / XNOR
-        x_out = _np.bitwise_or.reduce(op_xs, axis=1)
-        parity = _np.bitwise_xor.reduce(op_ones, axis=1) & mask & ~x_out
-        one_out = (
-            mask & ~parity & ~x_out if gtype is GateType.XNOR else parity
-        )
-    return one_out, x_out
+    first, second, x_out = out
+    if gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
+        conjunctive = gtype in (GateType.AND, GateType.NAND)
+        # first: every operand one (AND) / some operand one (OR).
+        reduce_ones = _np.bitwise_and if conjunctive else _np.bitwise_or
+        reduce_ones.reduce(op_ones, axis=1, out=first)
+        # second: some operand zero (AND) / every operand zero (OR), as
+        # the complement of the known-or-one reduction.
+        _np.bitwise_or(op_ones, op_xs, out=op_xs)
+        reduce_known = _np.bitwise_and if conjunctive else _np.bitwise_or
+        reduce_known.reduce(op_xs, axis=1, out=second)
+        _np.invert(second, out=second)
+        _np.bitwise_and(second, mask, out=second)
+        # Unknown wherever neither decides.
+        _np.bitwise_or(first, second, out=x_out)
+        _np.invert(x_out, out=x_out)
+        _np.bitwise_and(x_out, mask, out=x_out)
+        inverted = gtype in (GateType.NAND, GateType.NOR)
+        return (second if inverted else first), x_out
+    # XOR / XNOR: unknown if any operand is; else the parity.
+    _np.bitwise_or.reduce(op_xs, axis=1, out=x_out)
+    _np.invert(x_out, out=second)
+    _np.bitwise_and(second, mask, out=second)  # known slots
+    _np.bitwise_xor.reduce(op_ones, axis=1, out=first)
+    _np.bitwise_and(first, second, out=first)  # parity on known slots
+    if gtype is GateType.XNOR:
+        _np.bitwise_xor(second, first, out=second)  # known and even parity
+        return second, x_out
+    return first, x_out
+
+
+def _arena(plan: Any, num_gates: int, num_outputs: int, num_faults: int) -> List[Any]:
+    """One window's large ``uint64`` arrays, carved from one anonymous map.
+
+    In order: the plane's ``ones`` and ``xs`` (gates x faults), the two
+    gather blocks (largest ``G * k`` x faults), three reduction outputs
+    (largest ``G`` x faults) and the mismatch and unknown words (outputs x
+    faults).  The mapping is released when the last array is dropped.
+    """
+    blocks = [
+        (fanin.size, len(idx))
+        for groups in plan
+        for _gtype, idx, fanin in groups
+        if fanin is not None
+    ]
+    gathered = max((size for size, _ in blocks), default=0)
+    grouped = max((count for _, count in blocks), default=0)
+    rows = [num_gates] * 2 + [gathered] * 2 + [grouped] * 3 + [num_outputs] * 2
+    flat = _np.frombuffer(
+        mmap.mmap(-1, max(1, sum(rows) * num_faults) * 8), dtype=_np.uint64
+    )
+    arrays = []
+    offset = 0
+    for count in rows:
+        arrays.append(flat[offset : offset + count * num_faults].reshape(count, num_faults))
+        offset += count * num_faults
+    return arrays
 
 
 def simulate_window(
@@ -163,13 +214,13 @@ def simulate_window(
     snaps: List[List[int]],
     mask: int,
     good_word: Any,
-) -> List[Tuple[Optional[int], Optional[int], Dict[int, int]]]:
+) -> List[WindowOutcome]:
     """Evaluate one pattern window for all *active* faults on the plane.
 
     Drop-in replacement for the kernel's per-fault
     ``_propagate_fault_window`` loop: returns the same
-    ``(hard_slot, potential_slot, outgoing_ff_diffs)`` tuple per fault,
-    in *active* order.  *sim* is the calling
+    ``(mismatch words, unknown words, outgoing_ff_diffs)`` tuple per
+    fault, in *active* order.  *sim* is the calling
     :class:`~repro.vector.kernel.VectorFaultSimulator` (circuit, carried
     diffs, counters and tracer are read from it).
     """
@@ -186,6 +237,9 @@ def simulate_window(
     one_u = u64(1)
     plan, gate_slot, _level_pos = _rank_plan(sim)
     num_comb = len(circuit.order)
+    (
+        ones, xs, gather_ones, gather_xs, *results, mismatch, unknown
+    ) = _arena(plan, len(gates), len(circuit.outputs), num_faults)
 
     # Good plane: pack the per-cycle snapshots into (gates,) words, then
     # broadcast along the fault axis.
@@ -193,8 +247,8 @@ def simulate_window(
     slot_bits = (one_u << _np.arange(width, dtype=u64))[:, None]  # (width, 1)
     good_ones = ((snap_arr == ONE).astype(u64) * slot_bits).sum(axis=0, dtype=u64)
     good_xs = ((snap_arr == X).astype(u64) * slot_bits).sum(axis=0, dtype=u64)
-    ones = _np.repeat(good_ones[:, None], num_faults, axis=1)  # (gates, faults)
-    xs = _np.repeat(good_xs[:, None], num_faults, axis=1)
+    ones[:] = good_ones[:, None]  # (gates, faults)
+    xs[:] = good_xs[:, None]
 
     # Per-fault forcing: the stuck site, held in every slot of its row.
     forced_ones = _np.zeros(num_faults, dtype=u64)
@@ -271,14 +325,22 @@ def simulate_window(
                     ones[idx] = value
                     xs[idx] = u64(0)
                     continue
-                op_ones = ones[fanin]  # (G, k, F)
-                op_xs = xs[fanin]
+                count, arity = fanin.shape
+                op_ones = gather_ones[: count * arity].reshape(count, arity, num_faults)
+                op_xs = gather_xs[: count * arity].reshape(count, arity, num_faults)
+                # mode="raise" would buffer through a temporary; fanin
+                # indices are always in range.
+                ones.take(fanin, axis=0, out=op_ones, mode="clip")
+                xs.take(fanin, axis=0, out=op_xs, mode="clip")
                 triple = overrides.get((entry, group))
                 if triple is not None:
                     position, pin, row = triple
                     op_ones[position, pin, row] = forced_ones[row]
                     op_xs[position, pin, row] = forced_xs[row]
-                one_out, x_out = _group_output(gtype, op_ones, op_xs, mask_u)
+                one_out, x_out = _group_output(
+                    gtype, op_ones, op_xs, mask_u,
+                    (results[0][:count], results[1][:count], results[2][:count]),
+                )
                 ones[idx] = one_out
                 xs[idx] = x_out
             pinned = level_pins.get(entry)
@@ -351,51 +413,36 @@ def simulate_window(
             f"plane window failed to converge within {width + 1} passes"
         )
 
-    # Detection: earliest hard / potential slot per row over all POs.
-    hard_slots: List[Optional[int]] = [None] * num_faults
-    pot_slots: List[Optional[int]] = [None] * num_faults
-    for po_index in circuit.outputs:
-        f_ones = ones[po_index]
-        f_xs = xs[po_index]
+    # One mismatch and one unknown word per primary output and row.
+    for position, po_index in enumerate(circuit.outputs):
         g_ones, g_xs = good_word(po_index)
         binary_good = u64(mask & ~g_xs)
-        unknown = f_xs & binary_good
-        mismatch = (f_ones ^ u64(g_ones)) & binary_good & ~f_xs
-        for row in _np.nonzero(unknown)[0]:
-            value = int(unknown[row])
-            slot = (value & -value).bit_length() - 1
-            current = pot_slots[row]
-            if current is None or slot < current:
-                pot_slots[row] = slot
-        for row in _np.nonzero(mismatch)[0]:
-            value = int(mismatch[row])
-            slot = (value & -value).bit_length() - 1
-            current = hard_slots[row]
-            if current is None or slot < current:
-                hard_slots[row] = slot
+        _np.bitwise_and(xs[po_index], binary_good, out=unknown[position])
+        _np.bitwise_xor(ones[po_index], u64(g_ones), out=mismatch[position])
+        _np.bitwise_and(mismatch[position], binary_good, out=mismatch[position])
+        mismatch[position] &= ~xs[po_index]
+    outcomes: List[WindowOutcome] = [
+        (row_mismatch, row_unknown, {})
+        for row_mismatch, row_unknown in zip(mismatch.T.tolist(), unknown.T.tolist())
+    ]
 
     # Outgoing flip-flop diffs from the last slot's D words.
     last = width - 1
     last_bit = u64(1 << last)
-    outcomes: List[Tuple[Optional[int], Optional[int], Dict[int, int]]] = [
-        (hard_slots[row], pot_slots[row], {}) for row in range(num_faults)
-    ]
     for ff_index in circuit.dffs:
         d_ones, d_xs = latched(ff_index)
         d_is_one = (d_ones & last_bit) != 0
         d_is_x = (d_xs & last_bit) != 0
         good_value = snaps[last][gates[ff_index].fanin[0]]
-        for row in range(num_faults):
-            if hard_slots[row] is not None:
-                continue
-            if d_is_one[row]:
-                value = ONE
-            elif d_is_x[row]:
-                value = X
-            else:
-                value = 0
-            if value != good_value:
-                outcomes[row][2][ff_index] = value
+        if good_value == ONE:
+            differs = ~d_is_one
+        elif good_value == X:
+            differs = d_is_one | ~d_is_x
+        else:
+            differs = d_is_one | d_is_x
+        for row in _np.flatnonzero(differs).tolist():
+            value = ONE if d_is_one[row] else (X if d_is_x[row] else ZERO)
+            outcomes[row][2][ff_index] = value
 
     if evicted:
         # Re-solve the frozen tail exactly on its own compact plane.  The

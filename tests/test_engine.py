@@ -203,12 +203,6 @@ class TestApiValidation:
         sim = ConcurrentFaultSimulator(s27)
         assert sim.faults == stuck_at_universe(s27)
 
-    def test_stop_at_coverage(self, s27):
-        sim = ConcurrentFaultSimulator(s27, options=CSIM_V)
-        result = sim.run(random_sequence(s27, 200, seed=3), stop_at_coverage=0.5)
-        assert result.coverage >= 0.5
-        assert result.num_vectors < 200
-
     def test_variant_names(self):
         assert CSIM.variant_name == "csim"
         assert CSIM_V.variant_name == "csim-V"

@@ -9,6 +9,7 @@ from repro.circuit.library import load
 from repro.harness.runner import run_stuck_at, run_transition, workload_tests
 from repro.obs import RecordingTracer
 from repro.obs.tracer import Tracer
+from repro.patterns.random_gen import random_sequence
 from repro.robust import (
     Budget,
     CampaignInterrupted,
@@ -26,6 +27,7 @@ from repro.robust import (
 )
 from repro.robust.budget import BudgetBreach
 from repro.robust.ladder import oracle_spot_check
+from repro.serve.cache import serialize_result
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +177,30 @@ class TestBudget:
         assert "wall-clock" in BudgetBreach("wall", 1.0, 2.0).describe()
         assert "cycle" in BudgetBreach("cycles", 5, 5).describe()
         assert "memory" in BudgetBreach("memory", 10, 20).describe()
+
+    @pytest.mark.parametrize("path", ["direct", "checkpointed", "jobs=2"])
+    def test_cycle_budget_is_exact_for_every_engine(self, path, tmp_path):
+        # vsim applies up to 64 cycles per window; a cycle budget must
+        # still stop it, on every path, at the same cycle as the others.
+        circuit = load("s298")
+        tests = random_sequence(circuit, 64, seed=1)
+        blobs = set()
+        for engine in ("csim-MV", "PROOFS", "vsim"):
+            budget = Budget(max_cycles=10)
+            if path == "direct":
+                result = run_stuck_at(circuit, tests, engine, budget=budget)
+            elif path == "checkpointed":
+                result = run_checkpointed(
+                    circuit, tests, engine, budget=budget, checkpoint_every=16,
+                    checkpoint_path=str(tmp_path / f"{engine}.ckpt"),
+                )
+            else:
+                result = run_stuck_at(circuit, tests, engine, budget=budget, jobs=2)
+            assert result.num_vectors == 10, engine
+            assert result.truncated, engine
+            result.engine = "relabelled"
+            blobs.add(serialize_result(result, circuit))
+        assert len(blobs) == 1
 
 
 class TestRunCheckpointed:

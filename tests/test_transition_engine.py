@@ -13,6 +13,7 @@ from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.faults.transition import TransitionFault, all_transition_faults
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, ZERO
+from repro.obs import RecordingTracer
 from repro.patterns.random_gen import random_sequence
 
 
@@ -69,6 +70,23 @@ class TestEngineBehaviour:
         circuit = load("s27")
         result = TransitionFaultSimulator(circuit).run(random_sequence(circuit, 5, seed=1))
         assert result.engine.startswith("csim-T")
+
+    @pytest.mark.parametrize("split_lists, label", [(True, "csim-TV"), (False, "csim-T")])
+    def test_tracer_sees_the_transition_label(self, split_lists, label):
+        # The tracer must hear the transition label from run_start on,
+        # not the concurrent variant name the engine is built on.
+        circuit = load("s27")
+        tracer = RecordingTracer(record_events=True)
+        simulator = TransitionFaultSimulator(
+            circuit, options=SimOptions(split_lists=split_lists), tracer=tracer
+        )
+        result = simulator.run(random_sequence(circuit, 5, seed=1))
+        assert result.engine == label
+        assert tracer.engine == label
+        assert tracer.records[0] == {
+            "t": "run_start", "cycle": 0, "engine": label, "circuit": "s27"
+        }
+        assert result.telemetry.engine == label
 
     def test_two_passes_leave_combinational_converged(self):
         """After the firing pass, a fault with no latched errors must have

@@ -9,6 +9,10 @@
    runs — scalar or numpy plane — produce identical detections and
    potential detections.  This is what makes the scheduler a pure
    performance knob and shard-level re-planning safe.
+3. Windows are invisible in the results too: in detect mode and in
+   record mode (dictionary building, no dropping), at any checkpoint
+   cadence the drive loop clips windows to, vsim reproduces the PROOFS
+   per-cycle loop's responses, detections and potential detections.
 """
 
 import random
@@ -17,7 +21,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.conftest import make_circuit
 
+from repro.baselines.proofs import ProofsSimulator
 from repro.circuit.generate import random_circuit
+from repro.drive import drive
 from repro.faults.universe import all_stuck_at_faults
 from repro.logic.values import VALUES, X
 from repro.patterns.random_gen import random_sequence
@@ -123,3 +129,30 @@ class TestAxisInvariance:
         wide = VectorFaultSimulator(circuit, faults, word_width=width).run(tests)
         narrow = VectorFaultSimulator(circuit, faults, word_width=1).run(tests)
         assert _outcomes(wide) == _outcomes(narrow)
+
+
+class TestWindowsMatchProofs:
+    @SLOW
+    @given(vector_instance(), st.booleans(), st.sampled_from([0, 1, 3, 4]))
+    def test_any_mode_and_cadence_matches_proofs(self, instance, record, every):
+        circuit, tests, width = instance
+        faults = all_stuck_at_faults(circuit)
+        reference = ProofsSimulator(circuit, faults, record_responses=record).run(tests)
+        numpy_paths = (False, True) if (
+            plane.available() and width <= plane.MAX_PLANE_WIDTH
+        ) else (False,)
+        for axis in ("fault", "pattern", "auto"):
+            for use_numpy in numpy_paths:
+                simulator = VectorFaultSimulator(
+                    circuit,
+                    faults,
+                    word_width=width,
+                    axis_mode=axis,
+                    use_numpy=use_numpy,
+                    record_responses=record,
+                )
+                # A no-op save still clips every window at the cadence.
+                result = drive(simulator, tests, every=every, save=lambda cycle: None)
+                context = f"axis={axis} numpy={use_numpy} width={width} every={every}"
+                assert _outcomes(result) == _outcomes(reference), context
+                assert result.responses == reference.responses, context
