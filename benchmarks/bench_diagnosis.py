@@ -10,7 +10,9 @@ Measures the two halves of the diagnosis workflow:
   artifact bytes;
 * **diagnose**: per-query latency of :func:`repro.diagnosis.store.
   diagnosis_report` against a warm (already built and decoded)
-  dictionary — one query per detected fault, reported as p50/p95.
+  dictionary — two queries per detected fault, its exact signature and
+  the first half of it (a truncated failure log), reported together as
+  p50/p95.
 
 Usage::
 
@@ -127,10 +129,11 @@ def measure_circuit(name, scale, patterns, jobs_list, repeats):
     detected = dictionary.detected_faults()
     latencies = []
     for fault in detected:
-        observed = sorted(dictionary.signature(fault))
-        started = time.perf_counter()
-        diagnosis_report(circuit, tests, dictionary, observed, top=10)
-        latencies.append(time.perf_counter() - started)
+        signature = sorted(dictionary.signature(fault))
+        for observed in (signature, signature[: (len(signature) + 1) // 2]):
+            started = time.perf_counter()
+            diagnosis_report(circuit, tests, dictionary, observed, top=10)
+            latencies.append(time.perf_counter() - started)
     query_row = {
         "circuit": name,
         "queries": len(latencies),

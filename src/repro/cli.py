@@ -149,6 +149,17 @@ def _emit_observability(args, result, circuit, tracer) -> None:
             print(profile_report(result.telemetry, circuit=circuit))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_circuit_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("circuit", help="benchmark name or .bench file path")
     parser.add_argument(
@@ -790,6 +801,9 @@ def cmd_serve(args) -> int:
         ).start()
 
     signal.signal(signal.SIGTERM, _on_sigterm)
+    # A non-interactive shell starts background jobs with SIGINT ignored,
+    # which Python keeps; without this, ``kill -INT`` would not stop us.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     host, port = server.server_address[:2]
     print(f"# repro serve: http://{host}:{port} "
           f"({config.workers} worker(s), state in {state_dir})", file=sys.stderr)
@@ -1015,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diagnose.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="K",
         help="candidates to rank (default 10)",

@@ -34,6 +34,7 @@ tester comparison against an X is not reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -49,6 +50,33 @@ from repro.result import Failure
 
 #: Recognised dictionary formats.
 DICTIONARY_KINDS = ("full", "passfail")
+
+
+@dataclass(frozen=True)
+class SignatureClasses:
+    """A dictionary's detected faults grouped by identical signature.
+
+    Every distinct failure owns one bit, so a signature is an int mask and
+    the failures two signatures share are the popcount of their ``&``.
+    Class ``i`` has signature mask ``masks[i]`` with ``sizes[i]``
+    failures, and ``members[i]`` lists its faults in fault order; classes
+    are in the fault order of their first members.  Undetected faults
+    (empty signatures) belong to no class.
+    """
+
+    bits: Dict[object, int]
+    masks: Tuple[int, ...]
+    sizes: Tuple[int, ...]
+    members: Tuple[Tuple[Fault, ...], ...]
+
+    def query_mask(self, failures: Iterable[object]) -> int:
+        """The mask of *failures*; failures no signature holds add no bit."""
+        mask = 0
+        for failure in failures:
+            bit = self.bits.get(failure)
+            if bit is not None:
+                mask |= 1 << bit
+        return mask
 
 
 @dataclass(frozen=True)
@@ -72,17 +100,36 @@ class FaultDictionary:
     def detected_faults(self) -> List[Fault]:
         return sorted(f for f, sig in self.signatures.items() if sig)
 
+    @cached_property
+    def classes(self) -> SignatureClasses:
+        """The signature-class index, built on first use and kept."""
+        bits: Dict[object, int] = {}
+        positions: Dict[FrozenSet, int] = {}
+        masks: List[int] = []
+        members: List[List[Fault]] = []
+        for fault in sorted(self.signatures):
+            signature = self.signatures[fault]
+            if not signature:
+                continue
+            position = positions.get(signature)
+            if position is None:
+                position = positions[signature] = len(masks)
+                for failure in signature:
+                    bits.setdefault(failure, len(bits))
+                masks.append(sum(1 << bits[failure] for failure in signature))
+                members.append([])
+            members[position].append(fault)
+        return SignatureClasses(
+            bits=bits,
+            masks=tuple(masks),
+            sizes=tuple(mask.bit_count() for mask in masks),
+            members=tuple(tuple(group) for group in members),
+        )
+
     def indistinguishable_groups(self) -> List[List[Fault]]:
         """Faults with identical (non-empty) signatures — the resolution
         limit of this dictionary on this test set."""
-        groups: Dict[FrozenSet, List[Fault]] = {}
-        for fault, signature in self.signatures.items():
-            if signature:
-                groups.setdefault(signature, []).append(fault)
-        return sorted(
-            (sorted(members) for members in groups.values() if len(members) > 1),
-            key=lambda members: members[0],
-        )
+        return [list(group) for group in self.classes.members if len(group) > 1]
 
 
 @dataclass(frozen=True)

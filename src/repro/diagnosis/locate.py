@@ -57,21 +57,6 @@ class DiagnosisResult:
         return f"closest: {best.fault} (score {best.score:.3f})"
 
 
-def _similarity(observed: FrozenSet, signature: FrozenSet) -> Tuple[float, int, int, int]:
-    """Jaccard similarity plus the matched/missed/extra breakdown.
-
-    ``missed`` are observed failures the fault does not predict (strong
-    evidence against it); ``extra`` are predicted failures that did not
-    occur (weaker evidence — a marginal defect may fail intermittently).
-    """
-    matched = len(observed & signature)
-    missed = len(observed - signature)
-    extra = len(signature - observed)
-    union = matched + missed + extra
-    score = matched / union if union else 0.0
-    return score, matched, missed, extra
-
-
 def diagnose(
     dictionary: FaultDictionary,
     observed_failures: Iterable,
@@ -82,27 +67,44 @@ def diagnose(
     *observed_failures* uses the dictionary's own signature domain:
     (cycle, output-position) tuples for a full-response dictionary,
     cycle numbers for a pass/fail one.
+
+    A candidate's score is the Jaccard similarity of its signature and
+    the observation: ``matched`` failures it predicts and the tester saw,
+    over ``matched + missed + extra``, where ``missed`` are observed
+    failures it does not predict and ``extra`` are predicted ones the
+    tester did not see.  Both kinds of mismatch count equally.  Faults
+    that match nothing (undetected ones included) are not candidates.
+    The top *top* candidates are returned, by score, then fault order.
+
+    Faults with one signature score alike, so each signature class of
+    :attr:`FaultDictionary.classes` is scored once, from the popcount of
+    its mask and the observation's, and its members are listed only while
+    the class can still reach the top *top*.
     """
+    if top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     observed = frozenset(observed_failures)
+    classes = dictionary.classes
+    query = classes.query_mask(observed)
+    ranked: List[Tuple[float, int, int]] = []
+    for index, (mask, size) in enumerate(zip(classes.masks, classes.sizes)):
+        matched = (mask & query).bit_count()
+        if matched:
+            # failures in the observation or the signature or both
+            union = len(observed) + size - matched
+            ranked.append((-(matched / union), index, matched))
+    ranked.sort()  # best score first; ties in first-member (fault) order
     candidates: List[Candidate] = []
-    for fault, signature in dictionary.signatures.items():
-        if not signature:
-            continue  # undetected faults explain nothing
-        score, matched, missed, extra = _similarity(observed, signature)
-        if matched == 0:
-            continue
-        candidates.append(
-            Candidate(
-                fault=fault,
-                score=score,
-                exact=(signature == observed),
-                matched=matched,
-                missed=missed,
-                extra=extra,
-            )
+    for negated, index, matched in ranked:
+        score = -negated
+        if len(candidates) >= top and score < candidates[top - 1].score:
+            break  # classes come in score order: none after this can place
+        missed = len(observed) - matched
+        extra = classes.sizes[index] - matched
+        exact = missed == 0 and extra == 0
+        candidates.extend(
+            Candidate(fault, score, exact, matched, missed, extra)
+            for fault in classes.members[index]
         )
     candidates.sort(key=lambda c: (-c.score, c.fault))
-    return DiagnosisResult(
-        observed=observed,
-        candidates=tuple(candidates[:top]),
-    )
+    return DiagnosisResult(observed=observed, candidates=tuple(candidates[:top]))

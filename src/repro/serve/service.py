@@ -58,8 +58,9 @@ import os
 import random
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.circuit.netlist import NetlistError
 from repro.obs.span import SpanWriter, TraceContext
@@ -77,6 +78,9 @@ from repro.serve.metrics import ServiceMetrics, service_version
 from repro.serve.queue import JobQueue, QueueFull
 from repro.serve.spec import JobSpec, ResolvedJob, SpecError, SpecResolver
 from repro.serve.store import TERMINAL_STATES, JobRecord, JobStore
+
+if TYPE_CHECKING:
+    from repro.diagnosis.dictionary import FaultDictionary
 
 __all__ = [
     "ServeConfig",
@@ -139,6 +143,8 @@ class ServeConfig:
     #: truncated by this nondeterministic limit are never cached.
     max_seconds_per_job: Optional[float] = None
     cache_results: bool = True
+    #: Circuits the spec resolver keeps loaded, and decoded dictionaries
+    #: ``/diagnose`` keeps for warm queries (two LRUs of this size).
     resolver_capacity: int = 4
     #: Span-trace directory (None = tracing off).  Every job gets its own
     #: trace id; API threads, workers and shard processes append span
@@ -234,6 +240,10 @@ class FaultSimService:
         #: reaper and the workers never race a job's lease state.
         self._reap_lock = threading.Lock()
         self._reaper: Optional[threading.Thread] = None
+        #: Decoded dictionaries by cache key, least recently used first;
+        #: API threads share it, hence the lock.
+        self._dictionaries: "OrderedDict[str, FaultDictionary]" = OrderedDict()
+        self._dictionaries_lock = threading.Lock()
 
     # -- submission -----------------------------------------------------
 
@@ -1072,11 +1082,7 @@ class FaultSimService:
         query.setdefault("collapse", "equivalence")
         spec = JobSpec.from_payload(query)
         assert spec.dictionary is not None  # defaulted above
-        from repro.diagnosis.store import (
-            decode_dictionary,
-            diagnosis_report,
-            parse_observed,
-        )
+        from repro.diagnosis.store import diagnosis_report, parse_observed
 
         try:
             observed = parse_observed(spec.dictionary, failures)
@@ -1084,8 +1090,8 @@ class FaultSimService:
             raise SpecError(str(exc)) from None
         resolved = self.resolver.resolve(spec)
         key = cache_key(spec, resolved.circuit, resolved.tests, resolved.faults)
-        blob = self.cache.get(key)
-        if blob is None:
+        dictionary = self._decoded_dictionary(key)
+        if dictionary is None:
             self.metrics.diagnose_request(dictionary_hit=False)
             build = dict(query)
             build.setdefault("idempotency_key", f"dict-build:{key}")
@@ -1101,13 +1107,39 @@ class FaultSimService:
         body = diagnosis_report(
             resolved.circuit,
             resolved.tests,
-            decode_dictionary(blob),
+            dictionary,
             observed,
             top=top,
             explain=explain,
         )
         self.metrics.phase("diagnose", time.perf_counter() - started)
         return 200, None, body
+
+    def _decoded_dictionary(self, key: str) -> Optional["FaultDictionary"]:
+        """The dictionary cached under *key*, decoded; None before its build.
+
+        Decoded dictionaries (with their signature-class indexes) stay in
+        an LRU of ``resolver_capacity`` entries, consulted before the disk
+        cache, so a warm query neither reads nor decodes the artifact.
+        """
+        from repro.diagnosis.store import decode_dictionary
+
+        with self._dictionaries_lock:
+            dictionary = self._dictionaries.get(key)
+            if dictionary is not None:
+                self._dictionaries.move_to_end(key)
+                return dictionary
+        blob = self.cache.get(key)
+        if blob is None:
+            return None
+        decoded = decode_dictionary(blob)
+        with self._dictionaries_lock:
+            # A concurrent miss may have decoded it too; keep the first.
+            dictionary = self._dictionaries.setdefault(key, decoded)
+            self._dictionaries.move_to_end(key)
+            while len(self._dictionaries) > self.config.resolver_capacity:
+                self._dictionaries.popitem(last=False)
+        return dictionary
 
     def _note_resume(
         self, record: JobRecord, checkpoint_path: str, sharded: bool

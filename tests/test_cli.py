@@ -211,6 +211,16 @@ class TestParser:
         assert "--queue-limit" in out
         assert "--workers" in out
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_diagnose_top_below_one_exits_2(self, top, capsys):
+        # 0 used to print "no candidates" and -1 to drop the last one.
+        assert main(["diagnose", "s27", "--random-patterns", "64", "--seed", "9",
+                     "--failures", "5:0", "--top", top]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "--top" in captured.err
+
     def test_unknown_circuit_exits_2(self, capsys):
         assert main(["stats", "s99999"]) == 2
         err = capsys.readouterr().err

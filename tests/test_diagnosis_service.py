@@ -20,6 +20,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,7 +35,7 @@ from repro.diagnosis import (
     explain_fault,
 )
 from repro.diagnosis.dictionary import FullResponseDictionary, PassFailDictionary
-from repro.diagnosis.locate import Candidate
+from repro.diagnosis.locate import Candidate, DiagnosisResult
 from repro.diagnosis.store import (
     DictionaryDecodeError,
     decode_dictionary,
@@ -135,6 +136,11 @@ class TestLocate:
         result = diagnose(self.dictionary(), [(1, 0)], top=1)
         assert len(result.candidates) == 1
 
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_rejected(self, top):
+        with pytest.raises(ValueError, match="top"):
+            diagnose(self.dictionary(), [(1, 0)], top=top)
+
     def test_ordering_is_score_then_fault(self):
         result = diagnose(self.dictionary(), [(1, 0), (2, 0), (3, 1)])
         scores = [c.score for c in result.candidates]
@@ -159,6 +165,115 @@ class TestLocate:
         )
         with pytest.raises(Exception):
             candidate.score = 0.5
+
+
+def _similarity(observed, signature):
+    """Jaccard similarity plus the matched/missed/extra breakdown, from
+    set operations: the ranking math the signature-class index replaced."""
+    matched = len(observed & signature)
+    missed = len(observed - signature)
+    extra = len(signature - observed)
+    union = matched + missed + extra
+    score = matched / union if union else 0.0
+    return score, matched, missed, extra
+
+
+def reference_diagnose(dictionary, observed_failures, top):
+    """The set-based ranking loop, fault by fault: the oracle for
+    :func:`repro.diagnosis.diagnose`."""
+    observed = frozenset(observed_failures)
+    candidates = []
+    for fault, signature in dictionary.signatures.items():
+        if not signature:
+            continue
+        score, matched, missed, extra = _similarity(observed, signature)
+        if matched == 0:
+            continue
+        candidates.append(
+            Candidate(
+                fault=fault,
+                score=score,
+                exact=(signature == observed),
+                matched=matched,
+                missed=missed,
+                extra=extra,
+            )
+        )
+    candidates.sort(key=lambda c: (-c.score, c.fault))
+    return DiagnosisResult(observed=observed, candidates=tuple(candidates[:top]))
+
+
+def reference_groups(dictionary):
+    groups = {}
+    for fault, signature in dictionary.signatures.items():
+        if signature:
+            groups.setdefault(signature, []).append(fault)
+    return sorted(
+        (sorted(members) for members in groups.values() if len(members) > 1),
+        key=lambda members: members[0],
+    )
+
+
+#: Failure domains: a few cycles and outputs, so that random signatures
+#: overlap and score alike; cycles 90 and up fail in no signature.
+FULL_FAILURES = st.tuples(st.integers(1, 3), st.integers(0, 1))
+PASSFAIL_FAILURES = st.integers(1, 6)
+UNKNOWN_FAILURES = {
+    "full": st.tuples(st.integers(90, 91), st.integers(0, 2)),
+    "passfail": st.integers(90, 91),
+}
+
+
+@st.composite
+def dictionaries(draw):
+    """A hand-built dictionary of either kind whose faults draw from a few
+    signatures, so classes are large and ties straddle the ``top`` cut."""
+    kind = draw(st.sampled_from(["full", "passfail"]))
+    failure = FULL_FAILURES if kind == "full" else PASSFAIL_FAILURES
+    detected = st.frozensets(failure, min_size=1, max_size=3)
+    pool = draw(st.lists(detected, min_size=1, max_size=4)) + [frozenset()]
+    sites = draw(
+        st.lists(
+            st.tuples(st.integers(0, 10), st.integers(-1, 1), st.integers(0, 1)),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    signatures = {
+        StuckAtFault.make(*site): draw(st.sampled_from(pool)) for site in sites
+    }
+    cls = FullResponseDictionary if kind == "full" else PassFailDictionary
+    return cls(circuit_name="toy", num_vectors=8, signatures=signatures)
+
+
+class TestRankingMatchesSetOracle:
+    """Per-class popcount ranking equals the fault-by-fault set loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dictionary=dictionaries())
+    def test_same_candidates_order_and_summary(self, data, dictionary):
+        failure = FULL_FAILURES if dictionary.kind == "full" else PASSFAIL_FAILURES
+        detected = sorted(
+            {signature for signature in dictionary.signatures.values() if signature},
+            key=sorted,
+        )
+        # Whole signatures (the union of two disjoint ones of one size ties
+        # them), overlapping ones (duplicate failures), stray and unknown
+        # failures; empty when nothing is drawn.
+        picked = data.draw(st.lists(st.sampled_from(detected or [frozenset()]), max_size=3))
+        noise = data.draw(
+            st.lists(st.one_of(failure, UNKNOWN_FAILURES[dictionary.kind]), max_size=3)
+        )
+        observed = [item for signature in picked for item in sorted(signature)] + noise
+        # Small cuts split classes and tied runs; large ones keep them all.
+        top = data.draw(st.one_of(st.integers(1, 4), st.integers(1, len(dictionary) + 3)))
+        expected = reference_diagnose(dictionary, observed, top)
+        actual = diagnose(dictionary, observed, top=top)
+        assert actual.observed == expected.observed
+        assert actual.candidates == expected.candidates
+        assert actual.summary() == expected.summary()
+        assert dictionary.indistinguishable_groups() == reference_groups(dictionary)
 
 
 class TestDictionaryInvariance:
@@ -459,6 +574,101 @@ class TestServeDiagnose:
         assert final.state == "dead"
         # The second attempt resumed from the first attempt's checkpoint.
         assert final.resumed_from_cycle is not None
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        from repro.diagnosis import store
+
+        calls = []
+        real = store.decode_dictionary
+
+        def counting(blob, kind=None):
+            calls.append(blob)
+            return real(blob, kind)
+
+        monkeypatch.setattr(store, "decode_dictionary", counting)
+        return calls
+
+    def test_warm_queries_decode_once(self, tmp_path, monkeypatch):
+        service = make_service(tmp_path)
+        status, document, _ = service.diagnose(dict(DIAGNOSE_QUERY))
+        assert status == 202
+        service.drain()
+        blob = service.result_bytes(document["job"])
+        decodes = self.count_decodes(monkeypatch)
+        circuit = load("s27")
+        tests = random_sequence(circuit, 40, seed=3)
+        for failures in ([[5, 0]], [[5, 0], [9, 0]], [[11, 0], [999, 7]]):
+            status, _, raw = service.diagnose(dict(DIAGNOSE_QUERY, failures=failures))
+            assert status == 200
+            fresh = diagnosis_report(
+                circuit,
+                tests,
+                decode_dictionary(blob),
+                parse_observed("full", failures),
+            )
+            assert raw == fresh
+        # The fresh decodes above call this module's own import, which the
+        # counter does not see: the count is the service's alone.
+        assert len(decodes) == 1
+
+    def test_decoded_dictionaries_evicted_past_capacity(self, tmp_path, monkeypatch):
+        service = make_service(tmp_path, resolver_capacity=2)
+        queries = [
+            dict(DIAGNOSE_QUERY, dictionary=kind, failures=failures)
+            for kind, failures in (("full", [[5, 0]]), ("passfail", [5]))
+        ] + [dict(DIAGNOSE_QUERY, seed=4)]
+        for query in queries:
+            service.diagnose(dict(query))
+        service.drain()
+        decodes = self.count_decodes(monkeypatch)
+        for query in queries[:2] * 2:  # two fit: each is decoded once
+            assert service.diagnose(dict(query))[0] == 200
+        assert len(decodes) == 2
+        # A third dictionary evicts the least recently used (the full one).
+        for query in (queries[2], queries[1], queries[0]):
+            assert service.diagnose(dict(query))[0] == 200
+        assert len(decodes) == 4
+
+    def test_concurrent_lookups_keep_the_lru_consistent(self, tmp_path):
+        # Capacity 1 and two dictionaries: lookups of one keep evicting the
+        # other, from more threads than cores, switching every microsecond.
+        service = make_service(tmp_path, resolver_capacity=1)
+        keys = []
+        for kind, failures in (("full", [[5, 0]]), ("passfail", [5])):
+            query = dict(DIAGNOSE_QUERY, dictionary=kind, failures=failures)
+            keys.append(service.diagnose(query)[1]["cache_key"])
+        service.drain()
+        expected = [service._decoded_dictionary(key) for key in keys]
+        seen, errors = [], []
+
+        def worker(offset):
+            try:
+                for step in range(400):
+                    which = 1 if (offset + step) % 4 == 0 else 0
+                    seen.append((which, service._decoded_dictionary(keys[which])))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(seen) == 4 * 400
+        assert all(
+            dictionary.signatures == expected[which].signatures
+            and dictionary.kind == expected[which].kind
+            for which, dictionary in seen
+        )
+        assert len(service._dictionaries) == 1
 
     def test_passfail_dictionary_query(self, tmp_path):
         service = make_service(tmp_path)

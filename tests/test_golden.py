@@ -13,6 +13,15 @@ with each other at test time:
 * ``golden/<circuit>.responses.ans`` is the full record-mode response
   map, one line per fault (``<fault> <cycle>:<output> ...``), and
   ``.ans.sha`` its sha256.  Every engine and path above must reproduce it.
+* ``golden/<circuit>.rankings.ans`` holds the sha256 of the
+  :func:`repro.diagnosis.store.serialize_rankings` bytes of a fixed query
+  set, one line per query (``<kind> top=<K> <query> <sha256>``), against
+  the full and pass/fail dictionaries folded from that response map;
+  ``.ans.sha`` is its sha256.  The queries are every detected fault's
+  exact signature, its first half and its signature plus a failure no
+  fault predicts, an empty observation and one made only of such
+  failures, ranked at ``top`` 1 and 10 (and, on s27, past the universe
+  size, which pins the whole order).
 
 The files were written by :func:`write_goldens` and are never edited by
 hand; ``PYTHONPATH=src python -m tests.test_golden`` rewrites them.
@@ -29,6 +38,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.circuit.library import load
+from repro.diagnosis import assemble_dictionary, diagnose, serialize_rankings
 from repro.faults.model import fault_name
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import run_stuck_at
@@ -50,6 +60,10 @@ VECTOR_SEED = 16
 CHECKPOINT_EVERY = 16
 #: Cycles a killed run applies before dying on the ``resume`` path.
 KILL_AFTER = 37
+RANKING_KINDS = ("full", "passfail")
+#: ``top`` values each ranking query runs at; 64 exceeds s27's 36-fault
+#: universe, so that line pins the full order, ties across every cut too.
+RANKING_TOPS = {"s27": (1, 10, 64), "s298": (1, 10)}
 
 
 def _engine_class(engine: str) -> type:
@@ -123,6 +137,61 @@ def answer_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.responses.ans")
 
 
+def ranking_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name}.rankings.ans")
+
+
+def parse_responses(circuit, answer: bytes):
+    """The response map an ``.ans`` file renders (inverse of
+    :func:`render_responses`)."""
+    by_name = {fault_name(circuit, fault): fault for fault in stuck_at_universe(circuit)}
+    responses = {}
+    for line in answer.decode().splitlines():
+        name, *cells = line.split()
+        responses[by_name[name]] = tuple(
+            (int(cycle), int(output))
+            for cycle, output in (cell.split(":") for cell in cells)
+        )
+    return responses
+
+
+def ranking_queries(circuit, dictionary):
+    """``(label, observed)`` for every golden query on *dictionary*.
+
+    Identical observations are ranked once, under the first label that
+    produced them.
+    """
+    past = dictionary.num_vectors + 1  # a cycle no fault can fail at
+    if dictionary.kind == "full":
+        unknown = [(past, 0), (past + 1, 1)]
+    else:
+        unknown = [past, past + 1]
+    queries = {(): "empty", tuple(unknown): "unknown"}
+    for fault in dictionary.detected_faults():
+        signature = sorted(dictionary.signature(fault))
+        name = fault_name(circuit, fault)
+        for label, observed in (
+            ("exact", signature),
+            ("half", signature[: (len(signature) + 1) // 2]),
+            ("plus-unknown", signature + unknown[:1]),
+        ):
+            queries.setdefault(tuple(observed), f"{label}:{name}")
+    return [(label, list(observed)) for observed, label in queries.items()]
+
+
+def render_rankings(circuit, responses) -> bytes:
+    """The ``.rankings.ans`` text: one ranking digest per query line."""
+    lines = []
+    for kind in RANKING_KINDS:
+        dictionary = assemble_dictionary(circuit.name, NUM_VECTORS, responses, kind)
+        for top in RANKING_TOPS[circuit.name]:
+            for label, observed in ranking_queries(circuit, dictionary):
+                result = diagnose(dictionary, observed, top=top)
+                body = serialize_rankings(circuit, dictionary, result)
+                lines.append(f"{kind} top={top} {label} {sha256(body)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
@@ -166,6 +235,19 @@ def test_answer_file_matches_its_digest(name):
     assert sha256(_read(answer_path(name))) == digest
 
 
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_ranking_bytes_match_golden(name):
+    circuit = load(name)
+    responses = parse_responses(circuit, _read(answer_path(name)))
+    assert render_rankings(circuit, responses) == _read(ranking_path(name))
+
+
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_ranking_file_matches_its_digest(name):
+    digest = _read(ranking_path(name) + ".sha").decode().strip()
+    assert sha256(_read(ranking_path(name))) == digest
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", range(3))
 def test_vsim_killed_at_random_cycle_resumes_to_golden(seed, mode, tmp_path):
@@ -201,10 +283,12 @@ def write_goldens(tmp_dir: str) -> None:
         if len(answers) != 1:
             raise SystemExit(f"{name}: engines and paths disagree on the responses")
         answer = answers.pop()
-        with open(answer_path(name), "wb") as handle:
-            handle.write(answer)
-        with open(answer_path(name) + ".sha", "w") as handle:
-            handle.write(sha256(answer) + "\n")
+        rankings = render_rankings(circuit, parse_responses(circuit, answer))
+        for path, text in ((answer_path(name), answer), (ranking_path(name), rankings)):
+            with open(path, "wb") as handle:
+                handle.write(text)
+            with open(path + ".sha", "w") as handle:
+                handle.write(sha256(text) + "\n")
     with open(RESULTS_FILE, "w") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)
         handle.write("\n")

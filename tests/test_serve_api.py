@@ -9,6 +9,10 @@ queue answers 429 with a Retry-After header.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -373,3 +377,34 @@ class TestDiagnoseEndpoint:
         status, headers, _ = client.post("/diagnose", dict(DIAGNOSE))
         assert status == 429
         assert headers.get("Retry-After") == "1"
+
+
+class TestProcess:
+    def test_sigint_stops_a_server_started_with_sigint_ignored(self, tmp_path):
+        """A non-interactive shell starts background jobs with SIGINT
+        ignored; ``kill -INT`` must still stop ``repro serve`` (the CI
+        jobs stop their servers that way)."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        # An ignored disposition survives exec, as it does for the shell's job.
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "0",
+                 "--state-dir", str(tmp_path / "state")],
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            banner = process.stderr.readline().decode()
+            assert "repro serve:" in banner
+            port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+            assert Client(port).get("/healthz")[0] == 200  # serving now
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=15) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stderr.close()
