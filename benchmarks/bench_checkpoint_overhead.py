@@ -3,9 +3,9 @@
 Three configurations of the same deterministic workload:
 
 * ``plain``      — the raw engine loop (``run_stuck_at``), no resilience;
-* ``infrequent`` — ``run_checkpointed`` writing every 64 cycles (the
-                   default cadence);
-* ``frequent``   — ``run_checkpointed`` writing every 4 cycles (a
+* ``infrequent`` — a checkpointed campaign writing every 64 cycles
+                   (the default cadence);
+* ``frequent``   — a checkpointed campaign writing every 4 cycles (a
                    paranoid cadence, near the worst case).
 
 The result must be bit-identical in every configuration — checkpointing
@@ -20,8 +20,8 @@ import os
 import pytest
 
 from conftest import SCALE, run_once
+from repro.campaign import Campaign, execute
 from repro.harness.runner import run_stuck_at, workload_circuit, workload_tests
-from repro.robust import run_checkpointed
 
 CIRCUITS = ("s298", "s526")
 
@@ -40,12 +40,14 @@ def test_checkpoint_overhead(benchmark, tmp_path, name, mode):
     def run():
         if mode == "plain":
             return run_stuck_at(circuit, tests, "csim-MV")
-        return run_checkpointed(
-            circuit,
-            tests,
-            "csim-MV",
-            checkpoint_path=path,
-            checkpoint_every=_EVERY[mode],
+        return execute(
+            Campaign(
+                circuit,
+                tests,
+                "csim-MV",
+                checkpoint_path=path,
+                checkpoint_every=_EVERY[mode],
+            )
         )
 
     result = run_once(benchmark, run)
@@ -66,12 +68,14 @@ def test_checkpointing_never_changes_the_simulation(tmp_path, name):
     tests = workload_tests(name, SCALE, "deterministic")
     reference = run_stuck_at(circuit, tests, "csim-MV")
     for mode in ("infrequent", "frequent"):
-        checkpointed = run_checkpointed(
-            circuit,
-            tests,
-            "csim-MV",
-            checkpoint_path=str(tmp_path / f"{mode}.pkl"),
-            checkpoint_every=_EVERY[mode],
+        checkpointed = execute(
+            Campaign(
+                circuit,
+                tests,
+                "csim-MV",
+                checkpoint_path=str(tmp_path / f"{mode}.pkl"),
+                checkpoint_every=_EVERY[mode],
+            )
         )
         assert checkpointed.detected == reference.detected
         assert checkpointed.counters == reference.counters

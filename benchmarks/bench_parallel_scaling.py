@@ -34,7 +34,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import benchlib
 
 from repro.harness.runner import run_stuck_at, workload_circuit, workload_tests
-from repro.parallel import run_parallel
 from repro.parallel.sharding import STRATEGIES
 
 
@@ -44,12 +43,9 @@ def measure(circuit, tests, jobs, strategy, repeats):
     result = None
     for _ in range(repeats):
         started = time.perf_counter()
-        if jobs == 1:
-            result = run_stuck_at(circuit, tests, "csim-MV")
-        else:
-            result = run_parallel(
-                circuit, tests, "csim-MV", jobs=jobs, shard_strategy=strategy
-            )
+        result = run_stuck_at(
+            circuit, tests, "csim-MV", jobs=jobs, shard_strategy=strategy
+        )
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, result

@@ -21,6 +21,7 @@ report first-detection times.
 from __future__ import annotations
 
 import hashlib
+from operator import itemgetter
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -89,7 +90,9 @@ class CollapsedUniverse:
             cycle = cycles.get(self.member_to_rep[member])
             if cycle is not None:
                 expanded.append((cycle, member))
-        expanded.sort()
+        # The universe is in fault order and the sort is stable, so this
+        # is (cycle, fault) order without comparing faults.
+        expanded.sort(key=itemgetter(0))
         return {fault: cycle for cycle, fault in expanded}
 
     def expand(self, result: FaultSimResult) -> FaultSimResult:
@@ -98,7 +101,8 @@ class CollapsedUniverse:
         Detections are rebuilt in (cycle, fault) order — the same
         deterministic convention :func:`repro.parallel.merge.merge_results`
         uses — and ``num_faults`` becomes the universe size so coverage
-        denominators match an uncollapsed run.  Work counters, memory and
+        denominators match an uncollapsed run.  Recorded responses are
+        expanded too (:meth:`expand_responses`).  Work counters, memory and
         wall time are left as measured: they describe the work actually
         done, which is the point of collapsing.
         """
@@ -107,6 +111,11 @@ class CollapsedUniverse:
             num_faults=self.num_universe,
             detected=self._expand_map(result.detected),
             potentially_detected=self._expand_map(result.potentially_detected),
+            responses=(
+                None
+                if result.responses is None
+                else self.expand_responses(result.responses)
+            ),
         )
 
     def expand_responses(

@@ -14,8 +14,8 @@ Commands
 ``inspect``         render a recorded trace directory (timeline, balance)
 
 ``lint`` exits 0 when the netlist is clean at the chosen severity, 1 when
-it has findings and 2 on usage or parse errors.  ``simulate``,
-``transition`` and ``tables`` accept ``--prune-untestable`` (drop
+it has findings and 2 on usage or parse errors.  ``simulate`` and
+``transition`` accept ``--prune-untestable`` (drop
 structurally untestable faults; survivor detections are bit-identical),
 ``--collapse`` (simulate one representative per fault-equivalence class
 of the *full* universe and expand detections back — bit-identical to
@@ -33,21 +33,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
+from repro.campaign import Campaign, execute, select_universe
 from repro.circuit.library import load
 from repro.circuit.netlist import NetlistError
 from repro.circuit.stats import circuit_stats
 from repro.faults.transition import all_transition_faults
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
+from repro.faults.universe import all_stuck_at_faults
 from repro.harness.reporting import format_table
-from repro.harness.runner import (
-    ENGINE_NAMES,
-    WORD_ENGINES,
-    run_stuck_at,
-    run_transition,
-    sanitized_options,
-)
+from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES
 from repro.parallel.sharding import STRATEGIES
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
@@ -59,8 +55,6 @@ from repro.robust import (
     TableCampaign,
     VECTOR_LADDER,
     config_fingerprint,
-    run_checkpointed,
-    run_with_ladder,
 )
 
 
@@ -87,13 +81,6 @@ def _make_tracer(args):
     return RecordingTracer(record_events=bool(args.trace) and args.jobs == 1)
 
 
-def _parallel_trace_dir(args) -> Optional[str]:
-    """Under ``--jobs`` > 1, ``--trace`` names a trace *directory*."""
-    if args.jobs > 1 and args.trace:
-        return args.trace
-    return None
-
-
 class _CliTrace:
     """Root-span bookkeeping for a traced parallel CLI run.
 
@@ -103,8 +90,9 @@ class _CliTrace:
     workers parent everything under it.
     """
 
-    def __init__(self, trace_dir: Optional[str]) -> None:
-        self.trace_dir = trace_dir
+    def __init__(self, args) -> None:
+        # Under ``--jobs`` > 1, ``--trace`` names a trace *directory*.
+        trace_dir = self.trace_dir = args.trace if args.jobs > 1 else None
         self.ctx = None
         self._writer = None
         self._start = 0.0
@@ -252,7 +240,7 @@ def _checked_word_width(args):
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="K",
         help="shard the fault universe over K worker processes (default 1)",
@@ -263,13 +251,6 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         default="round-robin",
         help="fault partition strategy under --jobs (default round-robin)",
     )
-
-
-def _check_parallel_args(args) -> None:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    if args.jobs > 1 and getattr(args, "ladder", False):
-        raise ValueError("--ladder audits a single engine; use --jobs 1")
 
 
 def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
@@ -299,45 +280,34 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _analysis_faults(args, circuit, transition: bool):
-    """Resolve ``--prune-untestable``/``--collapse`` into a fault list.
+def _run_campaign(args, circuit, tests, tracer, cli_trace, **fields):
+    """Execute the campaign a ``simulate``/``transition`` invocation describes.
 
-    Returns ``(faults, collapsed)``: the list the engine should simulate
-    (``None`` means the engine builds its default universe itself) and the
-    :class:`~repro.analyze.CollapsedUniverse` expansion map (``None``
-    without ``--collapse``).  Composition order is prune-then-collapse:
-    pruning drops whole classes (equivalent faults are untestable
-    together), and the collapse targets the pruned *full* universe so the
-    expanded result is bit-identical to simulating every survivor.
+    The universe is selected first so its prune and collapse summaries
+    reach stderr before the run starts.
     """
-    collapse_mode = getattr(args, "collapse", None)
-    faults = None
-    if collapse_mode is not None:
-        faults = (
-            all_transition_faults(circuit)
-            if transition
-            else all_stuck_at_faults(circuit)
-        )
-    if args.prune_untestable:
-        from repro.analyze import prune_untestable
-
-        universe = faults
-        if universe is None:
-            universe = (
-                all_transition_faults(circuit)
-                if transition
-                else stuck_at_universe(circuit)
-            )
-        report = prune_untestable(circuit, universe)
-        print(f"# {report.summary()}", file=sys.stderr)
-        faults = report.kept
-    if collapse_mode is None:
-        return faults, None
-    from repro.analyze import collapse_universe
-
-    collapsed = collapse_universe(circuit, faults, transition=transition)
-    print(f"# {collapsed.summary()}", file=sys.stderr)
-    return list(collapsed.representatives), collapsed
+    campaign = Campaign(
+        circuit,
+        tests,
+        prune=args.prune_untestable,
+        collapse=args.collapse,
+        sanitize=args.sanitize,
+        jobs=args.jobs,
+        shard_strategy=args.shard_strategy,
+        budget=_make_budget(args),
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        checkpoint_every=args.checkpoint_every,
+        tracer=tracer,
+        trace_dir=cli_trace.trace_dir,
+        trace_ctx=cli_trace.ctx,
+        record_events=cli_trace.trace_dir is not None,
+        **fields,
+    )
+    universe = select_universe(campaign)
+    for note in universe.notes:
+        print(f"# {note}", file=sys.stderr)
+    return execute(replace(campaign, universe=universe))
 
 
 def _add_test_args(parser: argparse.ArgumentParser) -> None:
@@ -420,96 +390,29 @@ def cmd_lint(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_robust_args(args)
-    _check_parallel_args(args)
     word_width = _checked_word_width(args)
-    circuit = load(args.circuit, scale=args.scale)
-    tests = _load_tests(args, circuit)
-    tracer = _make_tracer(args)
-    budget = _make_budget(args)
-    faults, collapsed = _analysis_faults(args, circuit, transition=False)
-    fingerprint_extra = (
-        collapsed.fingerprint_material() if collapsed is not None else ()
-    )
-    options = None
-    if args.sanitize:
-        if args.ladder:
+    ladder = None
+    if args.ladder:
+        if args.sanitize:
             raise ValueError(
                 "--ladder picks its own engines; --sanitize needs a fixed one"
             )
-        options = sanitized_options(args.engine)
-    cli_trace = _CliTrace(_parallel_trace_dir(args))
-    if args.ladder:
         if args.checkpoint:
             raise ValueError("--ladder and --checkpoint are mutually exclusive")
         # --engine vsim puts the vector kernel on top as the fast rung;
         # any other engine choice keeps the default csim-MV-first ladder.
-        result = run_with_ladder(
-            circuit,
-            tests,
-            VECTOR_LADDER if args.engine == "vsim" else DEFAULT_LADDER,
-            faults=faults,
-            tracer=tracer,
-            budget=budget,
-            word_width=word_width,
-        )
-    elif args.checkpoint and args.jobs > 1:
-        from repro.parallel import run_parallel
-
-        result = run_parallel(
-            circuit,
-            tests,
-            args.engine,
-            faults=faults,
-            options=options,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            budget=budget,
-            telemetry=args.profile,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-            word_width=word_width,
-            fingerprint_extra=fingerprint_extra,
-        )
-    elif args.checkpoint:
-        result = run_checkpointed(
-            circuit,
-            tests,
-            args.engine,
-            faults=faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            word_width=word_width,
-            fingerprint_extra=fingerprint_extra,
-        )
-    else:
-        result = run_stuck_at(
-            circuit,
-            tests,
-            args.engine,
-            faults=faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-            word_width=word_width,
-        )
+        ladder = VECTOR_LADDER if args.engine == "vsim" else DEFAULT_LADDER
+    circuit = load(args.circuit, scale=args.scale)
+    tests = _load_tests(args, circuit)
+    tracer = _make_tracer(args)
+    cli_trace = _CliTrace(args)
+    result = _run_campaign(
+        args, circuit, tests, tracer, cli_trace,
+        engine=args.engine, word_width=word_width, ladder=ladder,
+    )
     cli_trace.finish(
         f"simulate {circuit.name}", engine=args.engine, jobs=args.jobs
     )
-    if collapsed is not None:
-        result = collapsed.expand(result)
     print(result.summary())
     if args.verbose:
         from repro.faults.model import fault_name
@@ -522,69 +425,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_transition(args) -> int:
     _check_robust_args(args)
-    _check_parallel_args(args)
     circuit = load(args.circuit, scale=args.scale)
     tests = _load_tests(args, circuit)
     tracer = _make_tracer(args)
-    budget = _make_budget(args)
-    faults, collapsed = _analysis_faults(args, circuit, transition=True)
-    fingerprint_extra = (
-        collapsed.fingerprint_material() if collapsed is not None else ()
+    cli_trace = _CliTrace(args)
+    result = _run_campaign(
+        args, circuit, tests, tracer, cli_trace, engine="csim-TV", mode="transition"
     )
-    options = sanitized_options(transition=True) if args.sanitize else None
-    cli_trace = _CliTrace(_parallel_trace_dir(args))
-    if args.checkpoint and args.jobs > 1:
-        from repro.parallel import run_parallel
-
-        result = run_parallel(
-            circuit,
-            tests,
-            transition=True,
-            faults=faults,
-            options=options,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            budget=budget,
-            telemetry=args.profile,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-            fingerprint_extra=fingerprint_extra,
-        )
-    elif args.checkpoint:
-        result = run_checkpointed(
-            circuit,
-            tests,
-            transition=True,
-            faults=faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            fingerprint_extra=fingerprint_extra,
-        )
-    else:
-        result = run_transition(
-            circuit,
-            tests,
-            faults=faults,
-            tracer=tracer,
-            budget=budget,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            sanitize=args.sanitize,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-        )
     cli_trace.finish(f"transition {circuit.name}", jobs=args.jobs)
-    if collapsed is not None:
-        result = collapsed.expand(result)
     print(result.summary())
     _emit_observability(args, result, circuit, tracer)
     return 0
@@ -617,53 +465,10 @@ def _parse_failures(kind: str, text: str):
     return parse_observed(kind, items)
 
 
-def _dictionary_for(args, circuit, tests):
-    """The query's dictionary: the ``--dictionary`` artifact if it exists,
-    else a fresh build — written back to the artifact path when given."""
+def _build_dictionary_blob(args, circuit, tests) -> bytes:
+    """Build the ``repro-dict/1`` artifact a build or diagnose run asks for."""
     from repro.diagnosis import build_responses
-    from repro.diagnosis.store import (
-        decode_dictionary,
-        encode_dictionary,
-        read_dictionary,
-        write_dictionary,
-    )
-
-    path = getattr(args, "dictionary", None)
-    if path and os.path.exists(path):
-        print(f"# dictionary: loaded from {path}", file=sys.stderr)
-        return decode_dictionary(read_dictionary(path), kind=args.kind)
-    collapse = None if args.no_collapse else "equivalence"
-    responses = build_responses(
-        circuit,
-        tests,
-        kind=args.kind,
-        engine=args.engine,
-        collapse=collapse,
-        jobs=args.jobs,
-        shard_strategy=args.shard_strategy,
-        checkpoint_path=getattr(args, "checkpoint", None),
-        resume=getattr(args, "resume", False),
-        checkpoint_every=getattr(args, "checkpoint_every", 64),
-        budget=_make_budget(args) if hasattr(args, "max_seconds") else None,
-        word_width=_checked_word_width(args),
-    )
-    blob = encode_dictionary(
-        circuit.name, len(tests), responses, args.kind, collapse=collapse
-    )
-    if path:
-        write_dictionary(path, blob)
-        print(f"# dictionary: built and written to {path}", file=sys.stderr)
-    return decode_dictionary(blob)
-
-
-def cmd_build_dictionary(args) -> int:
-    """Build a fault dictionary and write it as a ``repro-dict/1`` artifact."""
-    _check_robust_args(args)
-    _check_parallel_args(args)
-    circuit = load(args.circuit, scale=args.scale)
-    tests = _load_tests(args, circuit)
-    from repro.diagnosis import build_responses
-    from repro.diagnosis.store import encode_dictionary, read_manifest, write_dictionary
+    from repro.diagnosis.store import encode_dictionary
 
     collapse = None if args.no_collapse else "equivalence"
     responses = build_responses(
@@ -680,9 +485,35 @@ def cmd_build_dictionary(args) -> int:
         budget=_make_budget(args),
         word_width=_checked_word_width(args),
     )
-    blob = encode_dictionary(
+    return encode_dictionary(
         circuit.name, len(tests), responses, args.kind, collapse=collapse
     )
+
+
+def _dictionary_for(args, circuit, tests):
+    """The query's dictionary: the ``--dictionary`` artifact if it exists,
+    else a fresh build — written back to the artifact path when given."""
+    from repro.diagnosis.store import decode_dictionary, read_dictionary, write_dictionary
+
+    path = args.dictionary
+    if path and os.path.exists(path):
+        print(f"# dictionary: loaded from {path}", file=sys.stderr)
+        return decode_dictionary(read_dictionary(path), kind=args.kind)
+    blob = _build_dictionary_blob(args, circuit, tests)
+    if path:
+        write_dictionary(path, blob)
+        print(f"# dictionary: built and written to {path}", file=sys.stderr)
+    return decode_dictionary(blob)
+
+
+def cmd_build_dictionary(args) -> int:
+    """Build a fault dictionary and write it as a ``repro-dict/1`` artifact."""
+    _check_robust_args(args)
+    circuit = load(args.circuit, scale=args.scale)
+    tests = _load_tests(args, circuit)
+    from repro.diagnosis.store import read_manifest, write_dictionary
+
+    blob = _build_dictionary_blob(args, circuit, tests)
     write_dictionary(args.output, blob)
     manifest = read_manifest(blob)
     print(
@@ -701,7 +532,6 @@ def cmd_diagnose(args) -> int:
     to what ``POST /diagnose`` returns for the same query.
     """
     _check_robust_args(args)
-    _check_parallel_args(args)
     circuit = load(args.circuit, scale=args.scale)
     tests = _load_tests(args, circuit)
     from repro.diagnosis.store import diagnosis_report
@@ -840,18 +670,10 @@ def cmd_tables(args) -> int:
     from repro.harness import tables
 
     _check_robust_args(args)
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
     campaign = None
     if args.checkpoint:
         fingerprint = config_fingerprint(
-            "tables",
-            args.scale,
-            bool(args.quick),
-            bool(args.deterministic),
-            bool(args.prune_untestable),
-            bool(args.sanitize),
-            args.collapse or "",
+            "tables", args.scale, bool(args.quick), bool(args.deterministic)
         )
         campaign = TableCampaign(
             args.checkpoint, resume=args.resume, fingerprint=fingerprint
@@ -863,9 +685,6 @@ def cmd_tables(args) -> int:
             campaign=campaign,
             deterministic=args.deterministic,
             jobs=args.jobs,
-            prune_untestable=args.prune_untestable,
-            collapse=args.collapse,
-            sanitize=args.sanitize,
         )
     )
     return 0
@@ -1113,12 +932,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="K",
         help="compute table cells in K worker processes (default 1)",
     )
-    _add_analyze_args(tables)
     tables.set_defaults(handler=cmd_tables)
 
     serve = commands.add_parser(

@@ -4,13 +4,13 @@ A fault dictionary is the precomputed map from each modelled fault to the
 response a tester would observe from a device carrying it.  Building one
 needs *full* fault simulation — every fault simulated against every vector
 with no fault dropping — which is exactly the workload the paper's engine
-makes affordable.  The builder is the standard harness
-(:func:`repro.harness.runner.run_stuck_at` /
-:func:`repro.parallel.runner.run_parallel`) in ``record_responses`` mode,
-so every campaign facility applies uniformly: engine choice across the
-ladder (every engine produces bit-identical response maps), fault
-sharding over worker processes, budgets, tracers, and per-shard
-checkpoints — a build killed mid-flight resumes instead of recomputing.
+makes affordable.  A build is a ``record``-mode
+:class:`repro.campaign.Campaign`, so every campaign facility applies
+uniformly: any stuck-at engine (every engine produces bit-identical
+response maps), fault sharding over worker processes, budgets, tracers,
+and checkpoints — a build killed mid-flight resumes instead of
+recomputing.  A single-process build checkpoints to the given path, a
+sharded one to ``<path>.shardII-of-NN``.
 
 Construction defaults to the *collapsed* universe: only equivalence-class
 representatives are simulated, and every class member inherits its
@@ -44,7 +44,6 @@ if TYPE_CHECKING:
 from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault, StuckAtFault
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.patterns.vectors import TestSequence
 from repro.result import Failure
 
@@ -183,9 +182,9 @@ class DictionaryBuildTruncated(RuntimeError):
 
     A truncated response map must never masquerade as a dictionary — a
     fault that would fail on an unsimulated cycle would silently carry the
-    wrong signature.  Any per-shard checkpoints remain on disk, so the
-    same build invoked again with ``resume=True`` picks up where the
-    budget struck instead of recomputing.
+    wrong signature.  Any checkpoints remain on disk, so the same build
+    invoked again with ``resume=True`` picks up where the budget struck
+    instead of recomputing.
     """
 
 
@@ -217,77 +216,35 @@ def build_responses(
     """
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"unknown dictionary kind {kind!r}")
-    if collapse is not None and collapse != "equivalence":
-        raise ValueError(
-            "fault dictionaries require exact response attribution; "
-            "collapse must be 'equivalence' or None, not "
-            f"{collapse!r}"
-        )
+    from repro.campaign import Campaign, execute
 
-    if faults is not None:
-        universe = sorted(set(faults))
-    elif collapse is not None:
-        # Collapsing targets the *full* pin-level universe — the serve
-        # layer's convention — so every pin fault gets its response by
-        # exact class inheritance at no extra simulation cost.
-        universe = all_stuck_at_faults(circuit)
-    else:
-        universe = stuck_at_universe(circuit)
-
-    collapsed = None
-    simulate_faults: List[Fault] = list(universe)
-    fingerprint_extra: tuple = ("diagnosis-dictionary", kind)
-    if collapse is not None:
-        from repro.analyze.collapse import collapse_universe
-
-        collapsed = collapse_universe(circuit, universe)
-        simulate_faults = list(collapsed.representatives)
-        fingerprint_extra = fingerprint_extra + collapsed.fingerprint_material()
-
-    if checkpoint_path is not None or jobs > 1:
-        from repro.parallel.runner import run_parallel
-
-        result = run_parallel(
+    result = execute(
+        Campaign(
             circuit,
             tests,
             engine,
-            faults=simulate_faults,
+            mode="record",
+            dictionary=kind,
+            faults=sorted(set(faults)) if faults is not None else None,
+            collapse=collapse,
             options=options,
+            word_width=word_width,
             jobs=jobs,
             shard_strategy=shard_strategy,
             budget=budget,
-            telemetry=tracer is not None,
             checkpoint_path=checkpoint_path,
             resume=resume,
             checkpoint_every=checkpoint_every,
-            word_width=word_width,
-            record_responses=True,
-            fingerprint_extra=fingerprint_extra,
-        )
-    else:
-        from repro.harness.runner import run_stuck_at
-
-        result = run_stuck_at(
-            circuit,
-            tests,
-            engine,
-            faults=simulate_faults,
-            options=options,
             tracer=tracer,
-            budget=budget,
-            word_width=word_width,
-            record_responses=True,
         )
+    )
     if result.truncated:
         raise DictionaryBuildTruncated(
             f"dictionary build stopped early ({result.truncation_reason}); "
             "checkpoints (if any) remain for resume"
         )
-    responses = result.responses
-    assert responses is not None
-    if collapsed is not None:
-        responses = collapsed.expand_responses(responses)
-    return responses
+    assert result.responses is not None
+    return result.responses
 
 
 def build_dictionary(
@@ -320,7 +277,7 @@ def build_dictionary(
     Both produce bit-identical dictionaries.  ``engine`` is any stuck-at
     engine in the ladder (:data:`repro.harness.runner.ENGINE_NAMES`);
     ``jobs`` shards the build over worker processes; ``checkpoint_path``
-    arms durable per-shard progress so a killed build resumes (pass
+    arms durable progress so a killed build resumes (pass
     ``resume=True`` on the retry).  A budget-truncated build raises
     :class:`DictionaryBuildTruncated` rather than returning a dictionary
     with silently incomplete signatures.

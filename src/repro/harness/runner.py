@@ -2,25 +2,28 @@
 
 Everything the tables, benchmarks and examples do reduces to: pick a
 circuit, pick a test sequence, pick an engine, get a
-:class:`repro.result.FaultSimResult` back.  This module is that reduction,
-plus a cached workload factory so repeated benchmark invocations reuse the
-(deterministic) generated circuits and test sets.
+:class:`repro.result.FaultSimResult` back.  This module holds the engine
+registry and the simulator factory, the short library forms of a
+:class:`repro.campaign.Campaign` (:func:`run_stuck_at`,
+:func:`run_transition`, :func:`compare_engines`), which
+:func:`repro.campaign.execute` runs, and a cached workload factory so
+repeated benchmark invocations reuse the (deterministic) generated
+circuits and test sets.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.proofs import ProofsSimulator
-from repro.baselines.serial import simulate_serial, simulate_serial_transition
+from repro.campaign import Campaign, execute, select_universe
 from repro.circuit.library import load as load_circuit
 from repro.circuit.netlist import Circuit
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
 from repro.concurrent.transition_engine import TransitionFaultSimulator
-from repro.faults.model import StuckAtFault
-from repro.faults.transition import all_transition_faults
-from repro.faults.universe import stuck_at_universe
+from repro.faults.model import Fault, StuckAtFault
 from repro.obs.tracer import Tracer
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
@@ -73,26 +76,39 @@ def sanitized_options(engine: str = "csim-MV", transition: bool = False) -> SimO
 def make_stuck_at_simulator(
     circuit: Circuit,
     engine: str = "csim-MV",
-    faults: Optional[Iterable[StuckAtFault]] = None,
+    faults: Optional[Iterable[Fault]] = None,
     options: Optional[SimOptions] = None,
     tracer: Optional[Tracer] = None,
     word_width: Optional[int] = None,
     axis_mode: str = "auto",
     record_responses: bool = False,
+    transition: bool = False,
 ):
-    """Build the simulator object behind a named stuck-at engine.
+    """Build the simulator object behind a named engine.
 
-    The resilient runner (:mod:`repro.robust.runner`) needs the simulator
-    itself — for ``snapshot()``/``restore()`` and invariant checks — rather
-    than just a finished result; the ``serial`` oracle has no incremental
-    simulator object and is rejected here.  ``word_width`` and
-    ``axis_mode`` only apply to the word-packed engines
+    The checkpointed backend (:mod:`repro.robust.runner`) needs the
+    simulator itself — for ``snapshot()``/``restore()`` and invariant
+    checks — rather than just a finished result; the ``serial`` oracle has
+    no incremental simulator object and is rejected here.  ``word_width``
+    and ``axis_mode`` only apply to the word-packed engines
     (:data:`WORD_ENGINES`); other engines ignore them.
-    ``record_responses`` puts any engine into dictionary-building mode
-    (no fault dropping, full per-fault failure responses on the result).
+    ``record_responses`` puts any stuck-at engine into dictionary-building
+    mode (no fault dropping, full per-fault failure responses on the
+    result).  ``transition`` builds the concurrent transition engine
+    (split lists unless ``options`` says otherwise) whatever ``engine``
+    names.
     """
     if engine == "serial":
         raise ValueError("the serial oracle has no incremental simulator object")
+    if transition:
+        if record_responses:
+            raise ValueError(
+                "response recording (fault dictionaries) only supports the "
+                "stuck-at model"
+            )
+        return TransitionFaultSimulator(
+            circuit, faults, options or SimOptions(split_lists=True), tracer=tracer
+        )
     if options is None:
         options = _OPTIONS_BY_NAME.get(engine)
     if options is not None:
@@ -139,7 +155,7 @@ def run_stuck_at(
     axis_mode: str = "auto",
     record_responses: bool = False,
 ) -> FaultSimResult:
-    """Run one stuck-at engine over *tests*.
+    """Run one stuck-at engine over *tests* (a :class:`Campaign` shorthand).
 
     ``engine`` is one of :data:`ENGINE_NAMES`; an explicit ``options``
     overrides the name lookup for concurrent variants (ablations use this).
@@ -147,52 +163,30 @@ def run_stuck_at(
     engine, the serial oracle included, mirrors its work counters through
     the hooks.  A ``budget`` (:class:`repro.robust.budget.Budget`) bounds
     the run; a breached run returns a result flagged ``truncated``
-    instead of hanging.
-
-    ``jobs > 1`` shards the fault universe over that many worker
-    processes (see :mod:`repro.parallel`); detections are bit-identical
-    to the single-process run.  A ``tracer`` object cannot cross the
-    process boundary, so parallel runs record telemetry in every worker
-    instead and attach the merged telemetry to the result; ``trace_dir``
-    (with optional ``record_events``) additionally captures the
-    cross-process span trace (see :mod:`repro.obs.span`).  The shard
-    workers always pick their own vsim axis, so ``axis_mode`` other than
-    ``"auto"`` is refused with ``jobs > 1``.
+    instead of hanging.  ``jobs > 1`` shards the fault universe over that
+    many worker processes with bit-identical detections (see
+    :func:`repro.campaign.execute`); ``axis_mode`` other than ``"auto"``
+    is refused there.
     """
-    if jobs > 1:
-        from repro.parallel.runner import run_parallel
-
-        if axis_mode != "auto":
-            raise ValueError(
-                f"axis_mode {axis_mode!r} needs jobs=1; sharded runs use 'auto'"
-            )
-
-        return run_parallel(
+    return execute(
+        Campaign(
             circuit,
             tests,
             engine,
-            faults=faults,
+            mode="record" if record_responses else "detect",
+            faults=faults if faults is None else list(faults),
             options=options,
+            word_width=word_width,
+            axis_mode=axis_mode,
             jobs=jobs,
             shard_strategy=shard_strategy,
             budget=budget,
-            telemetry=tracer is not None,
+            tracer=tracer,
             trace_dir=trace_dir,
             trace_ctx=trace_ctx,
             record_events=record_events,
-            word_width=word_width,
-            record_responses=record_responses,
         )
-    if engine == "serial" and options is None:
-        return simulate_serial(
-            circuit, tests.vectors, faults, budget=budget, tracer=tracer,
-            record_responses=record_responses,
-        )
-    simulator = make_stuck_at_simulator(
-        circuit, engine, faults, options, tracer, word_width=word_width,
-        axis_mode=axis_mode, record_responses=record_responses,
     )
-    return simulator.run(tests, budget=budget)
 
 
 def run_transition(
@@ -210,31 +204,28 @@ def run_transition(
     trace_ctx=None,
     record_events: bool = False,
 ) -> FaultSimResult:
-    """Run transition-fault simulation (concurrent by default)."""
-    if serial and sanitize:
-        raise ValueError("the serial transition oracle has no fault lists to sanitize")
-    if jobs > 1 and not serial:
-        from repro.parallel.runner import run_parallel
+    """Run transition-fault simulation (concurrent by default).
 
-        return run_parallel(
+    ``serial`` runs the serial oracle instead, in one process.
+    """
+    return execute(
+        Campaign(
             circuit,
             tests,
-            transition=True,
-            faults=faults,
-            options=SimOptions(split_lists=split_lists, sanitize=sanitize),
-            jobs=jobs,
+            "serial" if serial else "csim-TV",
+            mode="transition",
+            faults=faults if faults is None else list(faults),
+            options=SimOptions(split_lists=split_lists),
+            sanitize=sanitize,
+            jobs=1 if serial else jobs,
             shard_strategy=shard_strategy,
             budget=budget,
-            telemetry=tracer is not None,
+            tracer=tracer,
             trace_dir=trace_dir,
             trace_ctx=trace_ctx,
             record_events=record_events,
         )
-    if serial:
-        return simulate_serial_transition(circuit, tests.vectors, faults)
-    options = SimOptions(split_lists=split_lists, sanitize=sanitize)
-    simulator = TransitionFaultSimulator(circuit, faults, options, tracer=tracer)
-    return simulator.run(tests, budget=budget)
+    )
 
 
 def compare_engines(
@@ -243,7 +234,6 @@ def compare_engines(
     engines: Iterable[str] = ("csim-V", "csim-M", "csim-MV", "PROOFS"),
     faults: Optional[Iterable[StuckAtFault]] = None,
     tracer_factory: Optional[Callable[[str], Optional[Tracer]]] = None,
-    sanitize: bool = False,
 ) -> List[FaultSimResult]:
     """Run several engines on the identical workload (the Tables 3/4 shape).
 
@@ -251,22 +241,17 @@ def compare_engines(
     table with silently inconsistent engines would be meaningless.
     ``tracer_factory`` is called once per engine name to supply a fresh
     tracer (or ``None``); each result then carries its own telemetry.
-    ``sanitize`` arms the fault-list sanitizer on every concurrent engine
-    in the lineup (engines without fault lists run unchanged).
     """
-    fault_list = sorted(faults) if faults is not None else stuck_at_universe(circuit)
+    base = Campaign(circuit, tests, faults=sorted(faults) if faults is not None else None)
+    universe = select_universe(base)
     results = [
-        run_stuck_at(
-            circuit,
-            tests,
-            engine,
-            fault_list,
-            options=(
-                sanitized_options(engine)
-                if sanitize and engine in _OPTIONS_BY_NAME
-                else None
-            ),
-            tracer=tracer_factory(engine) if tracer_factory else None,
+        execute(
+            replace(
+                base,
+                engine=engine,
+                universe=universe,
+                tracer=tracer_factory(engine) if tracer_factory else None,
+            )
         )
         for engine in engines
     ]
@@ -316,8 +301,3 @@ def workload_tests(
         effort = "high" if kind == "deterministic-high" else "standard"
         _tests_cache[key] = generate_tests(circuit, effort=effort, seed=seed)
     return _tests_cache[key][0]
-
-
-def workload_transition_faults(name: str, scale: float = 1.0):
-    """Transition fault universe for a benchmark circuit."""
-    return all_transition_faults(workload_circuit(name, scale))

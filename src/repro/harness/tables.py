@@ -14,8 +14,9 @@ extraction pays off) are stable across scales.  The benchmark scripts and
 
 Cells parallelise at the campaign level: every cell — one circuit × one
 table computation — is an independent, deterministic unit, so
-:func:`all_tables` with ``jobs > 1`` prefills the cell cache from a
-process pool before assembling the report serially.  Because each cell's
+:func:`all_tables` with ``jobs > 1`` collects the cells the tables ask
+for, prefills the cell cache from a process pool, then assembles the
+report serially.  Because each cell's
 value is computed by the same (unsharded) function either way, the
 rendered report — in particular the ``deterministic`` mode the resume CI
 check diffs — is byte-identical to a single-process run.
@@ -23,21 +24,20 @@ check diffs — is byte-identical to a single-process run.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.campaign import Campaign, select_universe
 from repro.circuit.library import TABLE5_CIRCUIT
 from repro.circuit.stats import circuit_stats
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
     compare_engines,
     run_stuck_at,
     run_transition,
-    sanitized_options,
     workload_circuit,
     workload_tests,
-    workload_transition_faults,
 )
 from repro.obs import RecordingTracer
 
@@ -47,41 +47,6 @@ def _tracer_factory(telemetry: bool):
     if not telemetry:
         return None
     return lambda engine: RecordingTracer()
-
-
-def _pruned(circuit, faults):
-    """Drop the structurally untestable faults from *faults* (``--prune``)."""
-    from repro.analyze import prune_untestable
-
-    return prune_untestable(circuit, faults).kept
-
-
-def _stuck_at_targets(circuit, prune: bool, collapse: Optional[str]):
-    """The stuck-at fault list one cell simulates, honouring the flags.
-
-    Returns ``(faults, collapsed)``.  Without ``collapse`` this is the old
-    behaviour (``None`` → engine default universe, pruned when asked).
-    With it, the cell simulates the representatives of the *full* (pruned)
-    universe and the caller expands results through ``collapsed`` so the
-    reported fault counts and coverages are those of the full universe.
-    """
-    if collapse is None:
-        faults = _pruned(circuit, stuck_at_universe(circuit)) if prune else None
-        return faults, None
-    from repro.analyze import collapse_universe
-
-    universe = all_stuck_at_faults(circuit)
-    if prune:
-        universe = _pruned(circuit, universe)
-    collapsed = collapse_universe(circuit, universe)
-    return list(collapsed.representatives), collapsed
-
-
-def _expand_all(collapsed, results):
-    """Expand every result through the collapse map (no-op without one)."""
-    if collapsed is None:
-        return results
-    return [collapsed.expand(result) for result in results]
 
 
 def _cell(campaign, key, compute):
@@ -131,21 +96,9 @@ Row = Dict[str, object]
 _TABLE3_ENGINES = ("csim", "csim-V", "csim-M", "csim-MV", "PROOFS")
 
 
-def _table2_cell(
-    name: str,
-    scale: float,
-    seed: int,
-    prune: bool = False,
-    collapse: Optional[str] = None,
-) -> Row:
+def _table2_cell(name: str, scale: float, seed: int) -> Row:
     circuit = workload_circuit(name, scale)
     stats = circuit_stats(circuit)
-    if collapse is not None:
-        faults, _ = _stuck_at_targets(circuit, prune, collapse)
-    else:
-        faults = stuck_at_universe(circuit)
-        if prune:
-            faults = _pruned(circuit, faults)
     tests = workload_tests(name, scale, "deterministic", seed=seed)
     return {
         "circuit": name,
@@ -154,7 +107,7 @@ def _table2_cell(
         "dffs": stats.num_dffs,
         "gates": stats.num_gates,
         "levels": stats.num_levels,
-        "faults": len(faults),
+        "faults": len(select_universe(Campaign(circuit, tests)).faults),
         "patterns": len(tests),
     }
 
@@ -165,23 +118,11 @@ def _table3_cell(
     seed: int,
     telemetry: bool,
     deterministic: bool,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Row:
     circuit = workload_circuit(name, scale)
     tests = workload_tests(name, scale, "deterministic", seed=seed)
-    faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
-    results = _expand_all(
-        collapsed,
-        compare_engines(
-            circuit,
-            tests,
-            _TABLE3_ENGINES,
-            faults=faults,
-            tracer_factory=_tracer_factory(telemetry),
-            sanitize=sanitize,
-        ),
+    results = compare_engines(
+        circuit, tests, _TABLE3_ENGINES, tracer_factory=_tracer_factory(telemetry)
     )
     row: Row = {
         "circuit": name,
@@ -196,80 +137,29 @@ def _table3_cell(
     return _scrub_timings(row) if deterministic else row
 
 
-def _table4_cell(
+def _csim_vs_proofs(
     name: str,
     scale: float,
+    kind: str,
+    length: int,
     seed: int,
     telemetry: bool,
     deterministic: bool,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Row:
+    """The csim-MV against PROOFS row of tables 4 and 5."""
     circuit = workload_circuit(name, scale)
-    tests = workload_tests(name, scale, "deterministic-high", seed=seed)
-    faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
-    results = _expand_all(
-        collapsed,
-        compare_engines(
-            circuit,
-            tests,
-            ("csim-MV", "PROOFS"),
-            faults=faults,
-            tracer_factory=_tracer_factory(telemetry),
-            sanitize=sanitize,
-        ),
+    tests = workload_tests(name, scale, kind, length=length, seed=seed)
+    results = compare_engines(
+        circuit, tests, ("csim-MV", "PROOFS"), tracer_factory=_tracer_factory(telemetry)
     )
-    csim_mv, proofs = results
     row: Row = {
         "circuit": name,
         "patterns": len(tests),
-        "coverage": 100.0 * csim_mv.coverage,
-        "csim-MV_cpu": csim_mv.wall_seconds,
-        "csim-MV_mem": csim_mv.memory.peak_megabytes,
-        "PROOFS_cpu": proofs.wall_seconds,
-        "PROOFS_mem": proofs.memory.peak_megabytes,
+        "coverage": 100.0 * results[0].coverage,
     }
     for result in results:
-        _attach_telemetry(row, result)
-    return _scrub_timings(row) if deterministic else row
-
-
-def _table5_cell(
-    circuit_name: str,
-    scale: float,
-    count: int,
-    seed: int,
-    telemetry: bool,
-    deterministic: bool,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
-) -> Row:
-    circuit = workload_circuit(circuit_name, scale)
-    tests = workload_tests(circuit_name, scale, "random", length=count, seed=seed)
-    faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
-    results = _expand_all(
-        collapsed,
-        compare_engines(
-            circuit,
-            tests,
-            ("csim-MV", "PROOFS"),
-            faults=faults,
-            tracer_factory=_tracer_factory(telemetry),
-            sanitize=sanitize,
-        ),
-    )
-    csim_mv, proofs = results
-    row: Row = {
-        "circuit": circuit_name,
-        "patterns": count,
-        "coverage": 100.0 * csim_mv.coverage,
-        "csim-MV_cpu": csim_mv.wall_seconds,
-        "csim-MV_mem": csim_mv.memory.peak_megabytes,
-        "PROOFS_cpu": proofs.wall_seconds,
-        "PROOFS_mem": proofs.memory.peak_megabytes,
-    }
+        row[f"{result.engine}_cpu"] = result.wall_seconds
+        row[f"{result.engine}_mem"] = result.memory.peak_megabytes
     for result in results:
         _attach_telemetry(row, result)
     return _scrub_timings(row) if deterministic else row
@@ -281,47 +171,13 @@ def _table6_cell(
     seed: int,
     telemetry: bool,
     deterministic: bool,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Row:
     circuit = workload_circuit(name, scale)
     tests = workload_tests(name, scale, "deterministic", seed=seed)
-    faults = workload_transition_faults(name, scale)
-    if prune:
-        faults = _pruned(circuit, faults)
-    run_faults, t_collapsed = faults, None
-    if collapse is not None:
-        from repro.analyze import collapse_universe
-
-        t_collapsed = collapse_universe(circuit, faults, transition=True)
-        run_faults = list(t_collapsed.representatives)
-    result = _expand_all(
-        t_collapsed,
-        [
-            run_transition(
-                circuit,
-                tests,
-                split_lists=True,
-                faults=run_faults,
-                tracer=RecordingTracer() if telemetry else None,
-                sanitize=sanitize,
-            )
-        ],
-    )[0]
-    stuck_faults, s_collapsed = _stuck_at_targets(circuit, prune, collapse)
-    stuck = _expand_all(
-        s_collapsed,
-        [
-            run_stuck_at(
-                circuit,
-                tests,
-                "csim-MV",
-                faults=stuck_faults,
-                options=sanitized_options("csim-MV") if sanitize else None,
-            )
-        ],
-    )[0]
+    result = run_transition(
+        circuit, tests, tracer=RecordingTracer() if telemetry else None
+    )
+    stuck = run_stuck_at(circuit, tests, "csim-MV")
     row: Row = {
         "circuit": name,
         "faults": result.num_faults,
@@ -335,36 +191,18 @@ def _table6_cell(
     return _scrub_timings(row) if deterministic else row
 
 
-#: Cell dispatch for the parallel prefill worker.
-_CELL_FNS = {
-    "table2": _table2_cell,
-    "table3": _table3_cell,
-    "table4": _table4_cell,
-    "table5": _table5_cell,
-    "table6": _table6_cell,
-}
-
-
-def _compute_cell(spec):
-    """Worker entry point: ``((key, (table, args))) -> (key, row)``."""
-    key, (table, args) = spec
-    return key, _CELL_FNS[table](*args)
-
-
 def table2(
     circuits: Sequence[str] = DEFAULT_TABLE3,
     scale: float = 1.0,
     seed: int = DEFAULT_SEED,
     campaign=None,
-    prune: bool = False,
-    collapse: Optional[str] = None,
 ) -> Tuple[List[Row], str]:
     """Table 2 — benchmark circuit statistics and the tests applied."""
     rows: List[Row] = [
         _cell(
             campaign,
             ("table2", name),
-            partial(_table2_cell, name, scale, seed, prune, collapse),
+            partial(_table2_cell, name, scale, seed),
         )
         for name in circuits
     ]
@@ -386,9 +224,6 @@ def table3(
     telemetry: bool = False,
     campaign=None,
     deterministic: bool = False,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Tuple[List[Row], str]:
     """Table 3 — deterministic patterns (I): CPU and memory per engine.
 
@@ -406,10 +241,7 @@ def table3(
         _cell(
             campaign,
             ("table3", name),
-            partial(
-                _table3_cell, name, scale, seed, telemetry, deterministic, prune,
-                sanitize, collapse,
-            ),
+            partial(_table3_cell, name, scale, seed, telemetry, deterministic),
         )
         for name in circuits
     ]
@@ -439,9 +271,6 @@ def table4(
     telemetry: bool = False,
     campaign=None,
     deterministic: bool = False,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Tuple[List[Row], str]:
     """Table 4 — deterministic patterns (II): higher-coverage test sets,
     csim-MV vs PROOFS."""
@@ -450,8 +279,8 @@ def table4(
             campaign,
             ("table4", name),
             partial(
-                _table4_cell, name, scale, seed, telemetry, deterministic, prune,
-                sanitize, collapse,
+                _csim_vs_proofs, name, scale, "deterministic-high", 256, seed,
+                telemetry, deterministic,
             ),
         )
         for name in circuits
@@ -483,9 +312,6 @@ def table5(
     telemetry: bool = False,
     campaign=None,
     deterministic: bool = False,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Tuple[List[Row], str]:
     """Table 5 — random-pattern simulation on the largest circuit.
 
@@ -498,16 +324,8 @@ def table5(
             campaign,
             ("table5", circuit_name, count),
             partial(
-                _table5_cell,
-                circuit_name,
-                scale,
-                count,
-                seed,
-                telemetry,
-                deterministic,
-                prune,
-                sanitize,
-                collapse,
+                _csim_vs_proofs, circuit_name, scale, "random", count, seed,
+                telemetry, deterministic,
             ),
         )
         for count in pattern_counts
@@ -537,9 +355,6 @@ def table6(
     telemetry: bool = False,
     campaign=None,
     deterministic: bool = False,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
 ) -> Tuple[List[Row], str]:
     """Table 6 — transition-fault simulation of the stuck-at test sets.
 
@@ -550,10 +365,7 @@ def table6(
         _cell(
             campaign,
             ("table6", name),
-            partial(
-                _table6_cell, name, scale, seed, telemetry, deterministic, prune,
-                sanitize, collapse,
-            ),
+            partial(_table6_cell, name, scale, seed, telemetry, deterministic),
         )
         for name in circuits
     ]
@@ -576,112 +388,42 @@ def table6(
     return rows, text
 
 
-def plan_cells(
-    scale: float = 1.0,
-    quick: bool = False,
-    deterministic: bool = False,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
-) -> List[tuple]:
-    """Every cell :func:`all_tables` computes, as ``(key, (table, args))``.
+class _CellPlan:
+    """A stand-in campaign that records the cells tables ask for.
 
-    The plan must mirror :func:`all_tables` exactly — same circuit subsets,
-    same table-5 scale and pattern counts — so a parallel prefill computes
-    precisely the cells the serial assembly will ask for.
+    Run through the table functions, it collects every ``(key, compute)``
+    pair without computing any (each row it hands back reads as zeros), so
+    the parallel prefill computes exactly the cells the real assembly will
+    ask for.
     """
-    t3_circuits = DEFAULT_TABLE4 if quick else DEFAULT_TABLE3
-    t5_scale = 0.03 if quick else 0.05
-    t5_counts = (100, 200) if quick else (200, 400, 800)
-    seed = DEFAULT_SEED
-    cells: List[tuple] = []
-    for name in t3_circuits:
-        cells.append(
-            (("table2", name), ("table2", (name, scale, seed, prune, collapse)))
-        )
-    for name in t3_circuits:
-        cells.append(
-            (
-                ("table3", name),
-                (
-                    "table3",
-                    (name, scale, seed, False, deterministic, prune, sanitize, collapse),
-                ),
-            )
-        )
-    for name in DEFAULT_TABLE4:
-        cells.append(
-            (
-                ("table4", name),
-                (
-                    "table4",
-                    (name, scale, seed, False, deterministic, prune, sanitize, collapse),
-                ),
-            )
-        )
-    for count in t5_counts:
-        cells.append(
-            (
-                ("table5", TABLE5_CIRCUIT, count),
-                (
-                    "table5",
-                    (
-                        TABLE5_CIRCUIT,
-                        t5_scale,
-                        count,
-                        seed,
-                        False,
-                        deterministic,
-                        prune,
-                        sanitize,
-                        collapse,
-                    ),
-                ),
-            )
-        )
-    for name in DEFAULT_TABLE6:
-        cells.append(
-            (
-                ("table6", name),
-                (
-                    "table6",
-                    (name, scale, seed, False, deterministic, prune, sanitize, collapse),
-                ),
-            )
-        )
-    return cells
+
+    def __init__(self) -> None:
+        self.cells: List[tuple] = []
+
+    def cell(self, key, compute) -> Row:
+        self.cells.append((key, compute))
+        return defaultdict(float)
 
 
-def prefill_cells(
-    campaign,
-    scale: float = 1.0,
-    quick: bool = False,
-    deterministic: bool = False,
-    jobs: int = 1,
-    prune: bool = False,
-    sanitize: bool = False,
-    collapse: Optional[str] = None,
-) -> int:
-    """Fill a campaign's cell cache in parallel; returns cells computed.
+def _compute_cell(spec):
+    """Worker entry point: ``(key, compute) -> (key, row)``."""
+    key, compute = spec
+    return key, compute()
+
+
+def prefill_cells(campaign, cells, jobs: int) -> int:
+    """Compute *cells* missing from a campaign in parallel; returns how many.
 
     Cells already present (a resumed campaign) are skipped.  Each computed
     cell is recorded through ``campaign.cell`` so durable checkpoints see
     it immediately — a prefilled-then-interrupted campaign resumes exactly
     like a serial one.
     """
-    pending = [
-        spec
-        for spec in plan_cells(scale, quick, deterministic, prune, sanitize, collapse)
-        if spec[0] not in campaign.cells
-    ]
-    if not pending:
-        return 0
-    if jobs <= 1 or len(pending) == 1:
-        for key, row in map(_compute_cell, pending):
-            campaign.cell(key, lambda row=row: row)
-        return len(pending)
     import multiprocessing
 
+    pending = [spec for spec in cells if spec[0] not in campaign.cells]
+    if not pending:
+        return 0
     context = multiprocessing.get_context()
     with context.Pool(processes=min(jobs, len(pending))) as pool:
         for key, row in pool.imap_unordered(_compute_cell, pending):
@@ -695,9 +437,6 @@ def all_tables(
     campaign=None,
     deterministic: bool = False,
     jobs: int = 1,
-    prune_untestable: bool = False,
-    collapse: Optional[str] = None,
-    sanitize: bool = False,
 ) -> str:
     """Run every table and return one combined report.
 
@@ -711,59 +450,28 @@ def all_tables(
     assembles the report from the cache; the rendered text is identical
     to a single-process run.
     """
+    t3_circuits = DEFAULT_TABLE4 if quick else DEFAULT_TABLE3
+
+    def sections(campaign) -> List[str]:
+        return [
+            table2(t3_circuits, scale, campaign=campaign)[1],
+            table3(t3_circuits, scale, campaign=campaign, deterministic=deterministic)[1],
+            table4(DEFAULT_TABLE4, scale, campaign=campaign, deterministic=deterministic)[1],
+            table5(
+                scale=0.03 if quick else 0.05,
+                pattern_counts=(100, 200) if quick else (200, 400, 800),
+                campaign=campaign,
+                deterministic=deterministic,
+            )[1],
+            table6(DEFAULT_TABLE6, scale, campaign=campaign, deterministic=deterministic)[1],
+        ]
+
     if jobs > 1:
         if campaign is None:
             from repro.robust.runner import TableCampaign
 
             campaign = TableCampaign()
-        prefill_cells(
-            campaign, scale, quick, deterministic, jobs, prune_untestable,
-            sanitize, collapse,
-        )
-    t3_circuits = DEFAULT_TABLE4 if quick else DEFAULT_TABLE3
-    sections = [
-        table2(
-            t3_circuits,
-            scale,
-            campaign=campaign,
-            prune=prune_untestable,
-            collapse=collapse,
-        )[1],
-        table3(
-            t3_circuits,
-            scale,
-            campaign=campaign,
-            deterministic=deterministic,
-            prune=prune_untestable,
-            sanitize=sanitize,
-            collapse=collapse,
-        )[1],
-        table4(
-            DEFAULT_TABLE4,
-            scale,
-            campaign=campaign,
-            deterministic=deterministic,
-            prune=prune_untestable,
-            sanitize=sanitize,
-            collapse=collapse,
-        )[1],
-        table5(
-            scale=0.03 if quick else 0.05,
-            pattern_counts=(100, 200) if quick else (200, 400, 800),
-            campaign=campaign,
-            deterministic=deterministic,
-            prune=prune_untestable,
-            sanitize=sanitize,
-            collapse=collapse,
-        )[1],
-        table6(
-            DEFAULT_TABLE6,
-            scale,
-            campaign=campaign,
-            deterministic=deterministic,
-            prune=prune_untestable,
-            sanitize=sanitize,
-            collapse=collapse,
-        )[1],
-    ]
-    return "\n\n".join(sections)
+        plan = _CellPlan()
+        sections(plan)
+        prefill_cells(campaign, plan.cells, jobs)
+    return "\n\n".join(sections(campaign))

@@ -14,8 +14,9 @@ strategy, or executor.
   sequential in-process twin, plus the picklable per-shard task.
 * :mod:`repro.parallel.merge` — the deterministic merge (detections,
   counters, telemetry, modelled memory) and its exactness contract.
-* :mod:`repro.parallel.runner` — ``run_parallel``: partition, execute,
-  merge; composes with budgets, per-shard checkpoints, and resume.
+* :mod:`repro.parallel.runner` — ``run_parallel``, the sharded backend
+  of :func:`repro.campaign.execute`: partition, execute, merge; composes
+  with budgets, per-shard checkpoints, and resume.
 """
 
 from repro.parallel.executor import (

@@ -1,11 +1,12 @@
 """Shard execution backends: multiprocessing workers and a sequential twin.
 
 A :class:`ShardTask` is a self-contained, picklable description of one
-shard's campaign — circuit, vectors, fault subset, engine configuration,
-budget, checkpoint binding.  :func:`simulate_shard` turns one into a
-:class:`repro.result.FaultSimResult`; it is a module-level function so the
-``multiprocessing`` start methods that re-import (spawn/forkserver) can
-find it.
+shard: its index, the shard count and a :class:`repro.campaign.Campaign`
+over the shard's faults.  :func:`simulate_shard` runs it with
+:func:`repro.campaign.execute` and returns a
+:class:`repro.result.FaultSimResult`; it is a module-level function so
+the ``multiprocessing`` start methods that re-import (spawn/forkserver)
+can find it.
 
 Two executors run task lists:
 
@@ -24,53 +25,32 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.circuit.netlist import Circuit
+from repro.obs.span import SpanWriter, TraceContext
+from repro.result import FaultSimResult
 
 if TYPE_CHECKING:
+    from repro.campaign import Campaign
     from repro.obs.tracer import RecordingTracer
-from repro.concurrent.options import SimOptions
-from repro.obs.span import SpanWriter, TraceContext
-from repro.patterns.vectors import TestSequence, Vector
-from repro.result import FaultSimResult
-from repro.robust.budget import Budget
 
 
 @dataclass
 class ShardTask:
-    """One shard's complete campaign description (picklable)."""
+    """One shard of a campaign (picklable): its position and its campaign.
+
+    ``campaign`` holds the shard's faults and scalar settings only (see
+    :func:`repro.campaign.shard_campaign`): no tracer, no full universe,
+    no collapse map.  ``telemetry`` makes the worker record a
+    :class:`~repro.obs.RecordingTracer`; the campaign's ``trace_dir`` and
+    ``trace_ctx`` make it append its span tree to the campaign's trace.
+    """
 
     index: int
     total: int
-    circuit: Circuit
-    vectors: List[Vector]
-    faults: Tuple
-    engine: str = "csim-MV"
-    transition: bool = False
-    options: Optional[SimOptions] = None
-    budget: Optional[Budget] = None
+    campaign: "Campaign"
     telemetry: bool = False
-    checkpoint_path: Optional[str] = None
-    resume: bool = False
-    checkpoint_every: int = 64
-    strategy: str = "round-robin"
-    #: Extra fingerprint material binding the shard checkpoint to its
-    #: position in the campaign (strategy, index, total).
-    fingerprint_extra: tuple = field(default_factory=tuple)
-    #: Span-tracing context (see repro.obs.span): when ``trace_dir`` is
-    #: set the worker appends its shard span tree there, parented under
-    #: ``trace_parent`` so the campaign stitches into one trace.
-    trace_dir: Optional[str] = None
-    trace_parent: Optional[TraceContext] = None
-    #: Record the per-gate engine event stream into the trace directory.
-    record_events: bool = False
-    #: Word width for the packed engines (PROOFS/vsim); None = default.
-    word_width: Optional[int] = None
-    #: Dictionary-building mode: no fault dropping, full per-fault
-    #: failure responses on the shard result (see ``repro.diagnosis``).
-    record_responses: bool = False
 
 
 def _make_cycle_clock_tracer(record_events: bool) -> "RecordingTracer":
@@ -121,76 +101,30 @@ def _emit_cycle_range_spans(
 def simulate_shard(task: ShardTask) -> Tuple[int, FaultSimResult]:
     """Run one shard to completion; returns ``(shard_index, result)``.
 
-    With tracing armed (``trace_dir`` + ``trace_parent``) the worker
-    process writes a ``shard i/N`` span carrying the shard's work
+    With tracing armed (the campaign's ``trace_dir`` + ``trace_ctx``) the
+    worker process writes a ``shard i/N`` span carrying the shard's work
     counters, cycle-range child spans, and — when ``record_events`` — the
     engine's per-gate event stream, all into the shared trace directory.
     """
     import time
 
+    from repro.campaign import execute
     from repro.obs import RecordingTracer
 
-    tests = TestSequence(len(task.circuit.inputs), list(task.vectors))
-    tracing = task.trace_dir is not None and task.trace_parent is not None
+    campaign = task.campaign
+    tracing = campaign.trace_dir is not None and campaign.trace_ctx is not None
     tracer: Optional[RecordingTracer]
     if tracing:
-        tracer = _make_cycle_clock_tracer(task.record_events)
+        tracer = _make_cycle_clock_tracer(campaign.record_events)
     elif task.telemetry:
         tracer = RecordingTracer()
     else:
         tracer = None
     shard_started = time.time()
-    result = _run_shard(task, tests, tracer)
+    result = execute(replace(campaign, tracer=tracer))
     if tracing:
         _write_shard_trace(task, tracer, result, shard_started)
     return task.index, result
-
-
-def _run_shard(
-    task: ShardTask, tests: TestSequence, tracer: Optional["RecordingTracer"]
-) -> FaultSimResult:
-    from repro.harness.runner import run_stuck_at, run_transition
-    from repro.robust.runner import run_checkpointed
-
-    if task.checkpoint_path is not None:
-        result = run_checkpointed(
-            task.circuit,
-            tests,
-            task.engine,
-            transition=task.transition,
-            faults=list(task.faults),
-            options=task.options,
-            tracer=tracer,
-            budget=task.budget,
-            checkpoint_path=task.checkpoint_path,
-            resume=task.resume,
-            checkpoint_every=task.checkpoint_every,
-            fingerprint_extra=task.fingerprint_extra,
-            word_width=task.word_width,
-            record_responses=task.record_responses,
-        )
-    elif task.transition:
-        result = run_transition(
-            task.circuit,
-            tests,
-            split_lists=(task.options or SimOptions(split_lists=True)).split_lists,
-            faults=list(task.faults),
-            tracer=tracer,
-            budget=task.budget,
-        )
-    else:
-        result = run_stuck_at(
-            task.circuit,
-            tests,
-            task.engine,
-            faults=list(task.faults),
-            options=task.options,
-            tracer=tracer,
-            budget=task.budget,
-            word_width=task.word_width,
-            record_responses=task.record_responses,
-        )
-    return result
 
 
 def _write_shard_trace(
@@ -204,10 +138,13 @@ def _write_shard_trace(
     inspection CLI can build the balance table from spans alone."""
     import time
 
-    assert task.trace_dir is not None and task.trace_parent is not None
-    writer = SpanWriter(task.trace_dir, label=f"shard{task.index:02d}")
+    campaign = task.campaign
+    trace_dir, trace_ctx = campaign.trace_dir, campaign.trace_ctx
+    assert trace_dir is not None and trace_ctx is not None
+    assert campaign.universe is not None
+    writer = SpanWriter(trace_dir, label=f"shard{task.index:02d}")
     try:
-        shard_ctx = task.trace_parent.child()
+        shard_ctx = trace_ctx.child()
         counters = result.counters
         writer.emit(
             f"shard {task.index}/{task.total}",
@@ -217,8 +154,8 @@ def _write_shard_trace(
             shard=task.index,
             total=task.total,
             engine=result.engine,
-            strategy=task.strategy,
-            faults=len(task.faults),
+            strategy=campaign.shard_strategy,
+            faults=len(campaign.universe.faults),
             detected=result.num_detected,
             cycles=counters.cycles,
             good_evaluations=counters.good_evaluations,
@@ -231,16 +168,16 @@ def _write_shard_trace(
         _emit_cycle_range_spans(
             writer, shard_ctx, getattr(tracer, "cycle_clock", []), time.time()
         )
-        if task.record_events and tracer is not None and tracer.records:
+        if campaign.record_events and tracer is not None and tracer.records:
             from repro.obs.export import write_jsonl_trace
 
             events_path = os.path.join(
-                task.trace_dir,
+                trace_dir,
                 f"events-shard{task.index:02d}-of-{task.total:02d}.jsonl",
             )
             header = {
                 "t": "shard_header",
-                "trace_id": task.trace_parent.trace_id,
+                "trace_id": trace_ctx.trace_id,
                 "span_id": shard_ctx.span_id,
                 "shard": task.index,
                 "total": task.total,

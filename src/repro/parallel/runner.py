@@ -1,24 +1,25 @@
-"""The fault-sharded parallel campaign runner.
+"""The fault-sharded backend of :func:`repro.campaign.execute`.
 
-``run_parallel`` is the one entry point: partition the (collapsed) fault
-universe into shards (:mod:`repro.parallel.sharding`), simulate every
-shard with an independent engine — in ``jobs`` worker processes or
-in-process sequentially (:mod:`repro.parallel.executor`) — and merge the
-shard results deterministically (:mod:`repro.parallel.merge`).  The
-merged detections, detection cycles and coverage are bit-identical to a
-single-process run for any shard count, strategy, and executor.
+:func:`run_parallel` partitions a campaign's resolved universe into
+shards (:mod:`repro.parallel.sharding`), describes each shard as a
+:class:`ShardTask` — its index, the shard count and a shard campaign
+holding the shard's faults and scalar settings
+(:func:`repro.campaign.shard_campaign`) — runs the tasks in ``jobs``
+worker processes or in-process (:mod:`repro.parallel.executor`), and
+merges the shard results deterministically (:mod:`repro.parallel.merge`).
+The merged detections, detection cycles and coverage are bit-identical
+to a single-process run for any shard count, strategy, and executor.
 
 Resilience composes with parallelism shard-wise:
 
-* **Checkpoints** — with ``checkpoint_path`` every shard checkpoints its
-  own engine through :func:`repro.robust.runner.run_checkpointed` into
-  ``<path>.shardII-of-NN``, fingerprint-bound to the shard's fault subset
-  *and* its (strategy, index, total) position, so resuming under a
-  different sharding configuration is refused rather than silently
-  merged wrong.  ``resume=True`` resumes shards whose checkpoint exists
-  (finished shards replay from their final checkpoint without
-  re-simulating) and starts the rest fresh — exactly what a campaign
-  killed mid-run needs.
+* **Checkpoints** — with a campaign ``checkpoint_path`` every shard
+  checkpoints its own engine into ``<path>.shardII-of-NN``, bound to the
+  shard's fault subset *and* its (strategy, index, total) position, so
+  resuming under a different sharding configuration is refused rather
+  than silently merged wrong.  A resume resumes the shards whose
+  checkpoint exists (finished shards replay from their final checkpoint
+  without re-simulating) and starts the rest fresh — exactly what a
+  campaign killed mid-run needs.
 * **Budgets** — the budget is armed per shard; any shard's breach marks
   the merged result ``truncated`` (see :mod:`repro.parallel.merge`).
 * **Interrupts** — Ctrl-C surfaces as
@@ -29,17 +30,14 @@ Resilience composes with parallelism shard-wise:
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from typing import List, Optional, Protocol, Sequence
-
-import json
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault
-from repro.faults.transition import all_transition_faults
-from repro.faults.universe import stuck_at_universe
 from repro.obs.span import SpanWriter, TraceContext
 from repro.parallel.executor import (
     MultiprocessExecutor,
@@ -48,10 +46,11 @@ from repro.parallel.executor import (
 )
 from repro.parallel.merge import merge_results
 from repro.parallel.sharding import DEFAULT_OVERSHARD, STRATEGIES, shard_faults
-from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
-from repro.robust.budget import Budget
 from repro.robust.checkpoint import CampaignInterrupted
+
+if TYPE_CHECKING:
+    from repro.campaign import Campaign, Universe
 
 
 class ShardExecutor(Protocol):
@@ -67,85 +66,62 @@ def shard_checkpoint_path(base: str, index: int, total: int) -> str:
 
 def plan_shards(
     circuit: Circuit,
-    faults: Optional[Sequence[Fault]],
+    faults: Sequence[Fault],
     jobs: int,
     shard_strategy: str = "round-robin",
-    overshard: int = DEFAULT_OVERSHARD,
-    transition: bool = False,
 ) -> List[list]:
-    """The deterministic shard partition a campaign would use."""
-    if faults is None:
-        universe = (
-            all_transition_faults(circuit) if transition else stuck_at_universe(circuit)
-        )
-    else:
-        universe = list(faults)
-    return shard_faults(circuit, sorted(universe), jobs, shard_strategy, overshard)
+    """The deterministic shard partition a campaign over *faults* uses."""
+    return shard_faults(circuit, sorted(faults), jobs, shard_strategy, DEFAULT_OVERSHARD)
 
 
 def run_parallel(
-    circuit: Circuit,
-    tests: TestSequence,
-    engine: str = "csim-MV",
-    *,
-    transition: bool = False,
-    faults: Optional[Sequence[Fault]] = None,
-    options: Optional[SimOptions] = None,
-    jobs: int = 1,
-    shard_strategy: str = "round-robin",
-    overshard: int = DEFAULT_OVERSHARD,
-    budget: Optional[Budget] = None,
-    telemetry: bool = False,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    checkpoint_every: int = 64,
+    campaign: "Campaign",
+    universe: "Universe",
     executor: Optional[ShardExecutor] = None,
-    trace_dir: Optional[str] = None,
-    trace_ctx: Optional[TraceContext] = None,
-    record_events: bool = False,
-    word_width: Optional[int] = None,
-    record_responses: bool = False,
-    fingerprint_extra: tuple = (),
 ) -> FaultSimResult:
-    """Run one fault-simulation campaign sharded over *jobs* workers.
+    """Run *campaign* over *universe*, sharded over ``campaign.jobs`` workers.
 
     With the default executor, ``jobs > 1`` runs shards in a process pool
     and ``jobs == 1`` runs the (single) shard in-process.  Passing an
     ``executor`` (:class:`SequentialExecutor` or
     :class:`MultiprocessExecutor`) overrides that choice without touching
     the partition — the standard trick for testing that backends agree.
+    The result covers *universe*'s faults; :func:`repro.campaign.execute`,
+    the only caller, expands it.
 
-    ``telemetry=True`` records a :class:`repro.obs.RecordingTracer` in
-    every worker and attaches the merged telemetry to the result (the
-    parallel counterpart of passing a tracer to a single-process run);
-    the merged totals reconcile exactly with the merged work counters.
+    A campaign ``tracer`` cannot cross the process boundary: an enabled
+    one makes every worker record a :class:`repro.obs.RecordingTracer` and
+    the merged telemetry lands on the result (the merged totals reconcile
+    exactly with the merged work counters).
 
     ``trace_dir`` arms cross-process span tracing: every shard worker
     appends its span tree (shard → cycle ranges) to the directory,
     parented under ``trace_ctx`` (a fresh root trace when None), and the
     campaign writes ``plan``/``merge`` spans plus ``telemetry.json`` and
-    ``manifest.json`` sidecars.  Tracing implies ``telemetry``.
+    ``manifest.json`` sidecars.  Tracing implies telemetry.
     ``record_events`` additionally streams each shard's per-gate engine
     events to ``events-shard*.jsonl`` files (the ``--trace`` payload).
     """
-    if shard_strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {shard_strategy!r}; choose from {STRATEGIES}"
-        )
-    if resume and checkpoint_path is None:
-        raise ValueError("resume requested without a checkpoint path")
+    from repro.campaign import shard_campaign
 
+    circuit, jobs, strategy = campaign.circuit, campaign.jobs, campaign.shard_strategy
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown shard strategy {strategy!r}; choose from {STRATEGIES}"
+        )
+    trace_dir, trace_ctx = campaign.trace_dir, campaign.trace_ctx
     writer: Optional[SpanWriter] = None
     if trace_dir is not None:
         if trace_ctx is None:
             trace_ctx = TraceContext.new_trace()
-        telemetry = True
+            campaign = replace(campaign, trace_ctx=trace_ctx)
         writer = SpanWriter(trace_dir, label="campaign")
+    telemetry = trace_dir is not None or bool(
+        campaign.tracer is not None and campaign.tracer.enabled
+    )
 
     plan_started = time.time()
-    shards = plan_shards(
-        circuit, faults, jobs, shard_strategy, overshard, transition=transition
-    )
+    shards = plan_shards(circuit, universe.faults, jobs, strategy)
     if writer is not None and trace_ctx is not None:
         writer.emit(
             "plan",
@@ -153,47 +129,28 @@ def run_parallel(
             plan_started,
             time.time(),
             shards=len(shards),
-            strategy=shard_strategy,
+            strategy=strategy,
             jobs=jobs,
         )
     total = len(shards)
-    tasks: List[ShardTask] = []
-    for index, shard in enumerate(shards):
-        path = (
-            shard_checkpoint_path(checkpoint_path, index, total)
-            if checkpoint_path is not None
-            else None
+    base_path = campaign.checkpoint_path
+    tasks = [
+        ShardTask(
+            index,
+            total,
+            shard_campaign(
+                campaign,
+                universe,
+                shard,
+                (index, total),
+                shard_checkpoint_path(base_path, index, total)
+                if base_path is not None
+                else None,
+            ),
+            telemetry=telemetry,
         )
-        tasks.append(
-            ShardTask(
-                index=index,
-                total=total,
-                circuit=circuit,
-                vectors=list(tests.vectors),
-                faults=tuple(shard),
-                engine=engine,
-                transition=transition,
-                options=options,
-                budget=budget,
-                telemetry=telemetry,
-                checkpoint_path=path,
-                resume=resume and path is not None and os.path.exists(path),
-                checkpoint_every=checkpoint_every,
-                strategy=shard_strategy,
-                fingerprint_extra=(
-                    *fingerprint_extra,
-                    "shard",
-                    shard_strategy,
-                    index,
-                    total,
-                ),
-                trace_dir=trace_dir,
-                trace_parent=trace_ctx,
-                record_events=record_events,
-                word_width=word_width,
-                record_responses=record_responses,
-            )
-        )
+        for index, shard in enumerate(shards)
+    ]
 
     if executor is None:
         executor = MultiprocessExecutor(jobs) if jobs > 1 else SequentialExecutor()
@@ -204,9 +161,9 @@ def run_parallel(
     except CampaignInterrupted as exc:
         # Surface the campaign's *base* path in the resume hint, not the
         # individual shard file the interrupt happened to land in.
-        raise CampaignInterrupted(checkpoint_path, exc.cycles_done) from None
+        raise CampaignInterrupted(base_path, exc.cycles_done) from None
     except KeyboardInterrupt:
-        raise CampaignInterrupted(checkpoint_path) from None
+        raise CampaignInterrupted(base_path) from None
     merge_started = time.time()
     merged = merge_results(results, wall_seconds=time.perf_counter() - started)
     merged.circuit_name = circuit.name
@@ -219,7 +176,7 @@ def run_parallel(
             shards=total,
             detected=merged.num_detected,
         )
-        _write_trace_sidecars(trace_dir, trace_ctx, merged, jobs, shard_strategy, total)
+        _write_trace_sidecars(trace_dir, trace_ctx, merged, jobs, strategy, total)
         writer.close()
     return merged
 

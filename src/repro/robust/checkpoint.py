@@ -24,7 +24,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 #: File magic: format name + version.  Bump on layout changes.
 MAGIC = b"RPROCKPT1\n"
@@ -107,6 +107,16 @@ def write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         raise
 
 
+def checkpoint_files(path: str) -> List[str]:
+    """The checkpoint files of a campaign based at *path* that exist.
+
+    A single-process run checkpoints to *path* itself, a sharded one to
+    ``<path>.shardII-of-NN`` (see :func:`repro.parallel.runner.shard_checkpoint_path`).
+    """
+    shards = sorted(glob.glob(glob.escape(path) + ".shard*"))
+    return ([path] if os.path.exists(path) else []) + shards
+
+
 def latest_checkpoint_mtime(path: str) -> Optional[float]:
     """The newest mtime among *path* and its per-shard siblings, or None.
 
@@ -114,11 +124,9 @@ def latest_checkpoint_mtime(path: str) -> Optional[float]:
     uses it as an implicit heartbeat for shard *processes*, which cannot
     renew a lease in the parent's memory — a worker whose checkpoints
     keep advancing is alive even if its lease record looks stale.
-    Per-shard files follow the parallel runner's ``<path>.shard<K>``
-    naming.
     """
     newest: Optional[float] = None
-    for candidate in [path] + glob.glob(glob.escape(path) + ".shard*"):
+    for candidate in checkpoint_files(path):
         try:
             mtime = os.path.getmtime(candidate)
         except OSError:

@@ -2,13 +2,15 @@
 
 Two shapes of campaign live here:
 
-* :func:`run_checkpointed` — one engine over one test sequence, with
-  periodic durable checkpoints (engine ``snapshot()`` + cycle index +
+* :func:`run_checkpointed` — one built engine over one test sequence,
+  with periodic durable checkpoints (engine ``snapshot()`` + cycle index +
   config fingerprint), budgets, and Ctrl-C handling that flushes a final
   checkpoint at a clean advance boundary (see :mod:`repro.drive`) before
-  raising :class:`CampaignInterrupted`.  A resumed run is bit-identical to
-  an uninterrupted one: the snapshot carries detections, work counters
-  and the memory model, so only ``wall_seconds`` differs.
+  raising :class:`CampaignInterrupted`.  It is the checkpointed backend
+  of :func:`repro.campaign.execute`, which builds the engine and the
+  fingerprint.  A resumed run is bit-identical to an uninterrupted one:
+  the snapshot carries detections, work counters and the memory model,
+  so only ``wall_seconds`` differs.
 * :class:`TableCampaign` — the paper-table campaign (many circuits ×
   engines).  Progress is durable per completed cell; resuming skips
   finished cells and recomputes nothing.
@@ -23,10 +25,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.circuit.netlist import Circuit
-from repro.concurrent.options import SimOptions
-from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.drive import drive
-from repro.harness.runner import make_stuck_at_simulator
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
 from repro.robust.budget import Budget
@@ -54,10 +53,11 @@ def run_fingerprint(
 ) -> str:
     """Fingerprint binding a single-run checkpoint to its configuration.
 
-    ``extra`` is additional identity the caller wants the checkpoint bound
-    to — the parallel runner passes its (strategy, shard index, shard
-    count) so a checkpoint can never be resumed into a differently
-    sharded campaign, even if the fault subset happens to coincide.
+    ``extra`` is the rest of the campaign's identity (see
+    :func:`repro.campaign.run_local`): the dictionary kind, the collapse
+    map and a shard's (strategy, index, total), so a checkpoint can never
+    be resumed into a differently sharded campaign, even if the fault
+    subset happens to coincide.
     """
     return config_fingerprint(
         "run",
@@ -70,72 +70,38 @@ def run_fingerprint(
     )
 
 
-def _build_simulator(
-    circuit, engine, transition, faults, options, tracer,
-    word_width=None, record_responses=False,
-):
-    if transition:
-        if record_responses:
-            raise ValueError(
-                "response recording (fault dictionaries) only supports the "
-                "stuck-at model"
-            )
-        return TransitionFaultSimulator(
-            circuit, faults, options or SimOptions(split_lists=True), tracer=tracer
-        )
-    return make_stuck_at_simulator(
-        circuit, engine, faults, options=options, tracer=tracer,
-        word_width=word_width, record_responses=record_responses,
-    )
-
-
 def run_checkpointed(
-    circuit: Circuit,
+    simulator,
     tests: TestSequence,
-    engine: str = "csim-MV",
     *,
-    transition: bool = False,
-    faults=None,
-    options: Optional[SimOptions] = None,
-    tracer=None,
-    budget: Optional[Budget] = None,
-    checkpoint_path: Optional[str] = None,
+    checkpoint_path: str,
+    fingerprint: str,
     resume: bool = False,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    fingerprint_extra: tuple = (),
-    word_width: Optional[int] = None,
-    record_responses: bool = False,
+    budget: Optional[Budget] = None,
 ) -> FaultSimResult:
-    """Run one fault-simulation campaign with durable progress.
+    """Drive *simulator* over *tests* with durable progress.
 
-    With ``checkpoint_path`` set, the engine state is snapshotted to disk
-    every ``checkpoint_every`` cycles (atomically; see
+    The engine state is snapshotted to ``checkpoint_path`` every
+    ``checkpoint_every`` cycles (atomically; see
     :mod:`repro.robust.checkpoint`) and once more on interrupt or budget
-    truncation.  With ``resume`` the run restarts from the checkpoint and
-    produces a result identical — detections, counters, memory — to a run
-    that was never interrupted.  (One exception: after a cycle budget
-    stopped vsim between checkpoints, its resumed windows start at that
-    cycle, so its work counters and memory figures may differ.)
+    truncation, under ``fingerprint`` (see :func:`run_fingerprint`).
+    With ``resume`` the run restarts from the checkpoint and produces a
+    result identical — detections, counters, memory — to a run that was
+    never interrupted.  (One exception: after a cycle budget stopped vsim
+    between checkpoints, its resumed windows start at that cycle, so its
+    work counters and memory figures may differ.)
 
     Ctrl-C is latched and honoured at the next advance boundary (a cycle,
     or a vsim window), so the final checkpoint always captures a clean
-    state; the exception raised
-    is :class:`CampaignInterrupted` (a ``KeyboardInterrupt``), carrying
-    the checkpoint path for the caller's resume hint.
+    state; the exception raised is :class:`CampaignInterrupted` (a
+    ``KeyboardInterrupt``), carrying the checkpoint path for the caller's
+    resume hint.  :func:`repro.campaign.execute` builds the simulator and
+    the fingerprint.
     """
-    simulator = _build_simulator(
-        circuit, engine, transition, faults, options, tracer,
-        word_width=word_width, record_responses=record_responses,
-    )
     label = simulator.engine_name
-    fingerprint = run_fingerprint(
-        circuit, tests, label, simulator.faults, transition, fingerprint_extra
-    )
-
     start_cycle = 0
     if resume:
-        if checkpoint_path is None:
-            raise CheckpointError("resume requested without a checkpoint path")
         saved = read_checkpoint(checkpoint_path, expect_fingerprint=fingerprint)
         if saved.kind != "run":
             raise CheckpointError(
@@ -146,8 +112,6 @@ def run_checkpointed(
         start_cycle = saved.payload["cycle"]
 
     def save(cycle: int) -> None:
-        if checkpoint_path is None:
-            return
         write_checkpoint(
             checkpoint_path,
             Checkpoint(
@@ -163,7 +127,7 @@ def run_checkpointed(
             tests.vectors,
             budget,
             start=start_cycle,
-            every=checkpoint_every if checkpoint_path is not None else 0,
+            every=checkpoint_every,
             save=save,
         )
     except KeyboardInterrupt:

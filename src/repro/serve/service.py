@@ -10,10 +10,10 @@ existing engines:
   :class:`repro.serve.queue.QueueFull` (HTTP 429).
 * **Execute** — workers claim the queue head, coalesce queue-mates
   sharing a (circuit, engine) group key into one batch
-  (:mod:`repro.serve.batch`), and run each job through the existing
-  runners: :func:`repro.robust.runner.run_checkpointed` for single-process
-  jobs (periodic durable checkpoints), :func:`repro.parallel.runner.run_parallel`
-  when the job asks for ``jobs > 1`` fault sharding.  Budgets
+  (:mod:`repro.serve.batch`), and run each job's campaign (resolved by
+  :class:`repro.serve.spec.SpecResolver`) through
+  :func:`repro.campaign.execute` with a per-job checkpoint, sharded when
+  the job asks for ``jobs > 1``.  Budgets
   (:class:`repro.robust.budget.Budget`) compose from the job's
   ``max_cycles`` and the service-wide wall-clock cap.
 * **Recover** (:meth:`FaultSimService.recover`) re-queues every job a
@@ -52,16 +52,16 @@ inputs produces, whatever worker, batch or shard count served it.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import random
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from repro.campaign import execute
 from repro.circuit.netlist import NetlistError
 from repro.obs.span import SpanWriter, TraceContext
 from repro.obs.tracer import Tracer
@@ -69,6 +69,7 @@ from repro.result import FaultSimResult, WorkCounters
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import (
     CheckpointError,
+    checkpoint_files,
     latest_checkpoint_mtime,
     read_checkpoint,
 )
@@ -118,7 +119,7 @@ def classify_failure(exc: BaseException) -> str:
     from repro.diagnosis.dictionary import DictionaryBuildTruncated
 
     if isinstance(exc, DictionaryBuildTruncated):
-        # The build's per-shard checkpoints are on disk; the retry resumes
+        # The build's checkpoints are on disk; the retry resumes
         # from them and stands a real chance of finishing inside the
         # budget.  A deterministic max_cycles truncation dead-letters
         # after the attempt budget instead of spinning forever.
@@ -750,11 +751,7 @@ class FaultSimService:
             simulate_started = time.perf_counter()
             simulate_wall = time.time()
             sim_ctx = root.child() if root is not None else None
-            result = self._simulate(record, spec, resolved, sim_ctx, heartbeat)
-            if spec.dictionary is None and resolved.collapsed is not None:
-                # Representatives -> full universe, so the serialized blob
-                # is what a full-universe submission would have produced.
-                result = resolved.collapsed.expand(result)
+            result = self._simulate(record, resolved, sim_ctx, heartbeat)
             self.metrics.phase("simulate", time.perf_counter() - simulate_started)
             if self.spans is not None and sim_ctx is not None:
                 self.spans.emit(
@@ -919,11 +916,12 @@ class FaultSimService:
     def _simulate(
         self,
         record: JobRecord,
-        spec: JobSpec,
         resolved: ResolvedJob,
         trace_ctx: Optional[TraceContext] = None,
         heartbeat: Optional[Tracer] = None,
     ) -> FaultSimResult:
+        """Run one attempt of the job's campaign, resuming where it can."""
+        spec = resolved.spec
         budget = None
         if spec.max_cycles is not None or self.config.max_seconds_per_job is not None:
             budget = Budget(
@@ -937,84 +935,26 @@ class FaultSimService:
             # also why deadline-truncated results are never cached.
             remaining = max(0.0, record.deadline_at - time.time())
             budget = (budget or Budget()).tightened(max_wall_seconds=remaining)
-        options = None
-        if spec.sanitize:
-            from repro.harness.runner import sanitized_options
-
-            options = sanitized_options(spec.engine, spec.transition)
-        fingerprint_extra = (
-            resolved.collapsed.fingerprint_material()
-            if resolved.collapsed is not None
-            else ()
-        )
-        record_responses = spec.dictionary is not None
-        if record_responses:
-            # PROOFS/vsim checkpoint labels do not distinguish recording
-            # runs from dropping ones, so the prefix keeps a dictionary
-            # build's checkpoints from ever seeding (or being seeded by) a
-            # plain detection job over the same inputs.
-            fingerprint_extra = (
-                "diagnosis-dictionary",
-                spec.dictionary,
-            ) + fingerprint_extra
-        if spec.engine == "serial" and not spec.transition:
+        checkpoint_path: Optional[str] = None
+        resume = False
+        if resolved.campaign.engine != "serial":
             # The serial oracle has no snapshot support: no checkpoints.
-            from repro.harness.runner import run_stuck_at
-
-            return run_stuck_at(
-                resolved.circuit,
-                resolved.tests,
-                "serial",
-                faults=resolved.faults,
-                tracer=heartbeat,
+            # Otherwise resume whenever a valid checkpoint exists: retries
+            # (attempts > 1) and resurrections (attempts reset to 0) both
+            # pick up where the last durable cycle left off, bit-identically.
+            checkpoint_path = self._checkpoint_path(record.job_id)
+            resume = self._note_resume(record, checkpoint_path)
+        return execute(
+            replace(
+                resolved.campaign,
                 budget=budget,
-                record_responses=record_responses,
-            )
-        checkpoint_path = self._checkpoint_path(record.job_id)
-        # Resume whenever a valid checkpoint exists: retries (attempts > 1)
-        # and resurrections (attempts reset to 0) both pick up where the
-        # last durable cycle left off, bit-identically.
-        resume = self._note_resume(record, checkpoint_path, sharded=spec.jobs > 1)
-        if spec.jobs > 1:
-            from repro.parallel.runner import run_parallel
-
-            return run_parallel(
-                resolved.circuit,
-                resolved.tests,
-                spec.engine,
-                transition=spec.transition,
-                faults=resolved.faults,
-                options=options,
-                jobs=spec.jobs,
-                shard_strategy=spec.shard_strategy,
-                budget=budget,
-                telemetry=trace_ctx is not None,
                 checkpoint_path=checkpoint_path,
                 resume=resume,
                 checkpoint_every=self.config.checkpoint_every,
+                tracer=heartbeat,
                 trace_dir=self.config.trace_dir if trace_ctx is not None else None,
                 trace_ctx=trace_ctx,
-                word_width=spec.word_width,
-                record_responses=record_responses,
-                fingerprint_extra=fingerprint_extra,
             )
-        from repro.robust.runner import run_checkpointed
-
-        return run_checkpointed(
-            resolved.circuit,
-            resolved.tests,
-            spec.engine,
-            transition=spec.transition,
-            faults=resolved.faults,
-            options=options,
-            budget=budget,
-            tracer=heartbeat,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            checkpoint_every=self.config.checkpoint_every,
-            word_width=spec.word_width,
-            record_responses=record_responses,
-            fingerprint_extra=fingerprint_extra,
         )
 
     def _encode_dictionary(
@@ -1035,15 +975,12 @@ class FaultSimService:
                 f"dictionary build stopped early ({result.truncation_reason}); "
                 "checkpoints (if any) remain for resume"
             )
-        responses = result.responses
-        assert responses is not None  # _simulate ran with record_responses
-        if resolved.collapsed is not None:
-            responses = resolved.collapsed.expand_responses(responses)
+        assert result.responses is not None  # a record-mode campaign
         assert spec.dictionary is not None
         blob = encode_dictionary(
             resolved.circuit.name,
             len(resolved.tests),
-            responses,
+            result.responses,
             spec.dictionary,
             collapse=spec.collapse,
         )
@@ -1141,24 +1078,15 @@ class FaultSimService:
                 self._dictionaries.popitem(last=False)
         return dictionary
 
-    def _note_resume(
-        self, record: JobRecord, checkpoint_path: str, sharded: bool
-    ) -> bool:
+    def _note_resume(self, record: JobRecord, checkpoint_path: str) -> bool:
         """Whether an attempt can resume, recording the resume cycle.
 
         A sharded job resumes every shard whose checkpoint survives
-        (:func:`repro.parallel.run_parallel` starts the rest fresh), and
+        (:func:`repro.campaign.execute` starts the rest fresh), and
         reports the lowest of their cycles.
         """
-        paths = (
-            sorted(glob.glob(f"{checkpoint_path}.shard*"))
-            if sharded
-            else [checkpoint_path]
-        )
         cycles: List[int] = []
-        for path in paths:
-            if not os.path.exists(path):
-                continue
+        for path in checkpoint_files(checkpoint_path):
             try:
                 saved = read_checkpoint(path)
             except CheckpointError:
@@ -1171,8 +1099,7 @@ class FaultSimService:
         return True
 
     def _cleanup_checkpoints(self, job_id: str) -> None:
-        base = self._checkpoint_path(job_id)
-        for path in [base] + glob.glob(f"{base}.shard*"):
+        for path in checkpoint_files(self._checkpoint_path(job_id)):
             try:
                 os.unlink(path)
             except OSError:

@@ -7,30 +7,28 @@ and scheduling hints (priority, idempotency key).  Validation happens at
 submit time so malformed requests are rejected with a
 :class:`SpecError` (HTTP 400) instead of failing later inside a worker.
 
-:class:`SpecResolver` materializes specs into the objects the engines
-consume.  Circuit loads are memoized in a small LRU keyed by the circuit
-*source* (inline text, or name + scale), which is what the batcher
-amortizes: jobs sharing a source resolve against one parsed, levelized
-circuit object, so the per-circuit evaluation-LUT and macro caches inside
-the engines stay warm across the whole batch.
+:class:`SpecResolver` materializes specs into
+:class:`repro.campaign.Campaign` values.  Circuit loads are memoized in a
+small LRU keyed by the circuit *source* (inline text, or name + scale),
+which is what the batcher amortizes: jobs sharing a source resolve
+against one parsed, levelized circuit object, so the per-circuit
+evaluation-LUT and macro caches inside the engines stay warm across the
+whole batch.  The fault universes the campaign module selects are
+memoized beside them, keyed by circuit source and universe policy.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping, Optional, Tuple
 
+from repro.campaign import Campaign, Universe, select_universe
 from repro.circuit.library import load as load_circuit
 from repro.circuit.netlist import Circuit, NetlistError
 from repro.circuit.bench import parse_bench
 from repro.faults.model import Fault
-from repro.faults.transition import all_transition_faults
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES, sanitized_options
-
-if TYPE_CHECKING:
-    from repro.analyze.collapse import CollapsedUniverse
 from repro.parallel.sharding import STRATEGIES
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import TestSequence, parse_vectors
@@ -314,26 +312,38 @@ class JobSpec:
 
 @dataclass
 class ResolvedJob:
-    """A spec materialized into engine-ready objects.
+    """A spec materialized into its campaign, universe resolved.
 
-    With ``spec.collapse`` set, ``faults`` holds the class
-    *representatives* and ``collapsed`` the expansion map the worker
-    applies to the finished result before serialization.
+    The campaign carries no execution settings yet (budget, checkpoint,
+    tracing): the worker adds them per attempt.
     """
 
     spec: JobSpec
-    circuit: Circuit
-    tests: TestSequence
-    faults: List[Fault] = field(default_factory=list)
-    collapsed: Optional["CollapsedUniverse"] = None
+    campaign: Campaign
+
+    @property
+    def circuit(self) -> Circuit:
+        return self.campaign.circuit
+
+    @property
+    def tests(self) -> TestSequence:
+        return self.campaign.tests
+
+    @property
+    def faults(self) -> Tuple[Fault, ...]:
+        """The simulated faults: the cache key's fault list."""
+        assert self.campaign.universe is not None
+        return self.campaign.universe.faults
 
 
 class SpecResolver:
-    """Materializes specs, memoizing circuit loads in a bounded LRU.
+    """Materializes specs, memoizing circuits in a bounded LRU.
 
-    ``capacity`` bounds how many distinct circuit sources stay resident;
-    an interleaved multi-circuit workload with a small capacity thrashes
-    the cache, which is exactly what request batching exists to prevent.
+    ``capacity`` bounds how many distinct circuit sources stay resident,
+    each with the universes the campaign module selected for it (one per
+    universe policy); an interleaved multi-circuit workload with a small
+    capacity thrashes the cache, which is exactly what request batching
+    exists to prevent.
     """
 
     def __init__(self, capacity: int = 4) -> None:
@@ -341,9 +351,7 @@ class SpecResolver:
             raise ValueError("resolver capacity must be >= 1")
         self.capacity = capacity
         self._circuits: "OrderedDict[Tuple[object, ...], Circuit]" = OrderedDict()
-        self._collapses: "OrderedDict[Tuple[object, ...], CollapsedUniverse]" = (
-            OrderedDict()
-        )
+        self._universes: Dict[Tuple[object, ...], Dict[Tuple[object, ...], Universe]] = {}
         self.loads = 0
 
     def circuit_for(self, spec: JobSpec) -> Circuit:
@@ -365,8 +373,10 @@ class SpecResolver:
             except (NetlistError, FileNotFoundError, ValueError) as exc:
                 raise SpecError(str(exc)) from None
         self._circuits[key] = circuit
+        self._universes[key] = {}
         while len(self._circuits) > self.capacity:
-            self._circuits.popitem(last=False)
+            evicted, _ = self._circuits.popitem(last=False)
+            self._universes.pop(evicted, None)
         return circuit
 
     def resolve(self, spec: JobSpec) -> ResolvedJob:
@@ -380,56 +390,29 @@ class SpecResolver:
                 raise SpecError("'vectors' contains no vectors")
         else:
             tests = random_sequence(circuit, spec.random_patterns, seed=spec.seed)
-        if spec.collapse is not None:
-            # Collapsing targets the *full* universe: the job simulates the
-            # representatives and the worker expands the result back, so
-            # the serialized blob matches a full-universe run exactly.
-            universe = list(
-                all_transition_faults(circuit)
-                if spec.transition
-                else all_stuck_at_faults(circuit)
-            )
+        if spec.transition:
+            mode = "transition"
         else:
-            universe = list(
-                all_transition_faults(circuit)
-                if spec.transition
-                else stuck_at_universe(circuit)
-            )
-        if spec.prune_untestable:
-            from repro.analyze import prune_untestable
-
-            universe = list(prune_untestable(circuit, universe).kept)
-        collapsed: Optional["CollapsedUniverse"] = None
-        if spec.collapse is not None:
-            collapsed = self._collapsed_for(spec, circuit, universe)
-            universe = list(collapsed.representatives)
-        return ResolvedJob(
-            spec=spec,
-            circuit=circuit,
-            tests=tests,
-            faults=universe,
-            collapsed=collapsed,
+            mode = "detect" if spec.dictionary is None else "record"
+        campaign = Campaign(
+            circuit,
+            tests,
+            spec.engine_label(),
+            mode=mode,
+            dictionary=spec.dictionary,
+            prune=spec.prune_untestable,
+            collapse=spec.collapse,
+            sanitize=spec.sanitize,
+            word_width=spec.word_width,
+            jobs=spec.jobs,
+            shard_strategy=spec.shard_strategy,
         )
-
-    def _collapsed_for(
-        self, spec: JobSpec, circuit: Circuit, universe: List[Fault]
-    ) -> "CollapsedUniverse":
-        """The collapse map for one spec, memoized with the circuit LRU.
-
-        The map is a pure function of the circuit source and the analysis
-        options, so batched queue-mates sharing a parsed circuit share its
-        collapse map too — the static pass runs once per batch, not once
-        per job.
-        """
-        key = spec.circuit_source() + (spec.transition, spec.prune_untestable)
-        cached = self._collapses.get(key)
-        if cached is not None:
-            self._collapses.move_to_end(key)
-            return cached
-        from repro.analyze import collapse_universe
-
-        collapsed = collapse_universe(circuit, universe, transition=spec.transition)
-        self._collapses[key] = collapsed
-        while len(self._collapses) > self.capacity:
-            self._collapses.popitem(last=False)
-        return collapsed
+        # The universe is a pure function of the circuit source and the
+        # universe policy, so jobs sharing a parsed circuit share its
+        # universes too: the analysis passes run once per circuit and policy.
+        universes = self._universes.setdefault(spec.circuit_source(), {})
+        policy = (spec.transition, spec.prune_untestable, spec.collapse)
+        universe = universes.get(policy)
+        if universe is None:
+            universe = universes[policy] = select_universe(campaign)
+        return ResolvedJob(spec, replace(campaign, universe=universe))

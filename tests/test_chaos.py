@@ -11,6 +11,7 @@ against the guard that must catch it:
 
 import pytest
 
+from repro.campaign import Campaign, execute
 from repro.circuit.library import load
 from repro.harness.runner import run_stuck_at, workload_tests
 from repro.obs import RecordingTracer
@@ -21,7 +22,6 @@ from repro.robust import (
     GuardedTracer,
     invariant_violations,
     read_checkpoint,
-    run_checkpointed,
     run_with_ladder,
     write_checkpoint,
 )
@@ -174,9 +174,9 @@ class TestTruncatedCheckpoint:
         self, tmp_path, s27, s27_tests
     ):
         path = str(tmp_path / "ck.pkl")
-        run_checkpointed(s27, s27_tests, "csim-MV", checkpoint_path=path)
+        execute(Campaign(s27, s27_tests, "csim-MV", checkpoint_path=path))
         truncate_file(path, 64)
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
-            run_checkpointed(
-                s27, s27_tests, "csim-MV", checkpoint_path=path, resume=True
+            execute(
+                Campaign(s27, s27_tests, "csim-MV", checkpoint_path=path, resume=True)
             )

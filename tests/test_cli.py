@@ -269,6 +269,34 @@ class TestErrorHandling:
 
 
 class TestCheckpointFlow:
+    def test_sharded_resume_without_any_checkpoint_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "none.ckpt")
+        argv = ["simulate", "s27", "--random-patterns", "20", "--jobs", "2",
+                "--checkpoint", path, "--resume"]
+        assert main(argv) == 2
+        assert "no checkpoint file" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing was recomputed
+
+    def test_dictionary_resume_without_checkpoint_exits_2(self, tmp_path, capsys):
+        output = tmp_path / "d.json"
+        argv = ["build-dictionary", "s27", "--random-patterns", "20",
+                "-o", str(output), "--checkpoint", str(tmp_path / "none.ckpt"),
+                "--resume"]
+        assert main(argv) == 2
+        assert "no checkpoint file" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_single_job_dictionary_checkpoints_to_the_given_path(self, tmp_path, capsys):
+        """``--jobs 1`` builds checkpoint where ``simulate`` does: the path itself."""
+        path = tmp_path / "d.ckpt"
+        argv = ["build-dictionary", "s27", "--random-patterns", "30",
+                "-o", str(tmp_path / "d.json"), "--checkpoint", str(path)]
+        assert main(argv + ["--max-cycles", "10"]) == 130
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ckpt"]
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        assert (tmp_path / "d.json").exists()
+
     def test_truncated_then_resumed_matches_straight_run(self, tmp_path, capsys):
         base = ["simulate", "s27", "--random-patterns", "60", "--seed", "7"]
         assert main(base) == 0

@@ -13,15 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analyze import collapse_universe
+from repro.campaign import Campaign, execute
 from repro.circuit.generate import random_circuit
 from repro.circuit.library import available_circuits, load
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.runner import run_stuck_at, run_transition
-from repro.parallel import run_parallel
 from repro.patterns.random_gen import random_sequence
 from repro.robust.budget import Budget
-from repro.robust.runner import run_checkpointed
 
 
 def _same_detections(left, right):
@@ -114,7 +113,7 @@ class TestBitIdentity:
         universe = list(all_stuck_at_faults(circuit))
         reference = run_stuck_at(circuit, tests, "csim-MV", faults=universe)
         collapsed = collapse_universe(circuit, universe)
-        reps = run_parallel(
+        reps = run_stuck_at(
             circuit,
             tests,
             "csim-MV",
@@ -153,27 +152,33 @@ class TestResume:
         reference = run_stuck_at(circuit, tests, "csim-MV", faults=universe)
         collapsed = collapse_universe(circuit, universe)
         path = str(tmp_path / "ck.pkl")
-        partial = run_checkpointed(
-            circuit,
-            tests,
-            "csim-MV",
-            faults=list(collapsed.representatives),
-            budget=Budget(max_cycles=16),
-            checkpoint_path=path,
-            checkpoint_every=4,
-            fingerprint_extra=collapsed.fingerprint_material(),
+        partial = execute(
+            Campaign(
+                circuit,
+                tests,
+                "csim-MV",
+                faults=universe,
+                collapse="equivalence",
+                budget=Budget(max_cycles=16),
+                checkpoint_path=path,
+                checkpoint_every=4,
+            )
         )
         assert partial.truncated
-        resumed = run_checkpointed(
-            circuit,
-            tests,
-            "csim-MV",
-            faults=list(collapsed.representatives),
-            checkpoint_path=path,
-            resume=True,
-            fingerprint_extra=collapsed.fingerprint_material(),
+        resumed = execute(
+            Campaign(
+                circuit,
+                tests,
+                "csim-MV",
+                faults=universe,
+                collapse="equivalence",
+                checkpoint_path=path,
+                resume=True,
+            )
         )
-        _same_detections(reference, collapsed.expand(resumed))
+        # execute expands through the same map as collapse_universe's.
+        assert len(collapsed.representatives) < resumed.num_faults
+        _same_detections(reference, resumed)
 
     def test_resume_refused_across_collapse_modes(self, tmp_path):
         from repro.robust.checkpoint import CheckpointError
@@ -182,22 +187,21 @@ class TestResume:
         tests = random_sequence(circuit, 30, seed=2)
         collapsed = collapse_universe(circuit)
         path = str(tmp_path / "ck.pkl")
-        run_checkpointed(
-            circuit,
-            tests,
-            "csim-MV",
-            faults=list(collapsed.representatives),
-            checkpoint_path=path,
-            fingerprint_extra=collapsed.fingerprint_material(),
+        execute(
+            Campaign(
+                circuit, tests, "csim-MV", collapse="equivalence", checkpoint_path=path
+            )
         )
         with pytest.raises(CheckpointError):
-            run_checkpointed(
-                circuit,
-                tests,
-                "csim-MV",
-                faults=list(collapsed.universe),
-                checkpoint_path=path,
-                resume=True,
+            execute(
+                Campaign(
+                    circuit,
+                    tests,
+                    "csim-MV",
+                    faults=list(collapsed.universe),
+                    checkpoint_path=path,
+                    resume=True,
+                )
             )
 
 
@@ -230,11 +234,9 @@ class TestProperty:
             from repro.analyze import prune_untestable
 
             universe = list(prune_untestable(circuit, universe).kept)
-        reference = run_parallel(
-            circuit, tests, engine, faults=universe, jobs=jobs
-        )
+        reference = run_stuck_at(circuit, tests, engine, faults=universe, jobs=jobs)
         collapsed = collapse_universe(circuit, universe)
-        reps = run_parallel(
+        reps = run_stuck_at(
             circuit,
             tests,
             engine,
@@ -242,6 +244,10 @@ class TestProperty:
             jobs=jobs,
         )
         _same_detections(reference, collapsed.expand(reps))
+        campaign = Campaign(
+            circuit, tests, engine, faults=universe, collapse="equivalence", jobs=jobs
+        )
+        _same_detections(reference, execute(campaign))
 
 
 class TestCli:

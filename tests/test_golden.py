@@ -37,6 +37,7 @@ from typing import Dict, Tuple
 
 import pytest
 
+from repro.campaign import Campaign, execute
 from repro.circuit.library import load
 from repro.diagnosis import assemble_dictionary, diagnose, serialize_rankings
 from repro.faults.model import fault_name
@@ -45,7 +46,6 @@ from repro.harness.runner import run_stuck_at
 from repro.patterns.random_gen import random_sequence
 from repro.robust.chaos import step_bomb
 from repro.robust.checkpoint import CampaignInterrupted
-from repro.robust.runner import run_checkpointed
 from repro.serve.cache import serialize_result
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -85,21 +85,24 @@ def workload(name: str):
     return circuit, random_sequence(circuit, NUM_VECTORS, seed=VECTOR_SEED)
 
 
+def checkpointed(circuit, tests, engine, path, record, resume=False):
+    """A run checkpointed every ``CHECKPOINT_EVERY`` cycles to *path*."""
+    return execute(
+        Campaign(
+            circuit, tests, engine, mode="record" if record else "detect",
+            faults=stuck_at_universe(circuit), checkpoint_path=path,
+            checkpoint_every=CHECKPOINT_EVERY, resume=resume,
+        )
+    )
+
+
 def killed_and_resumed(circuit, tests, engine, path, kill_after, record):
     """Kill a checkpointed run after *kill_after* cycles, then resume it."""
     with step_bomb(_engine_class(engine), after_steps=kill_after) as bomb:
         with pytest.raises(CampaignInterrupted):
-            run_checkpointed(
-                circuit, tests, engine, faults=stuck_at_universe(circuit),
-                checkpoint_path=path, checkpoint_every=CHECKPOINT_EVERY,
-                record_responses=record,
-            )
+            checkpointed(circuit, tests, engine, path, record)
     assert bomb["calls"] == kill_after + 1  # died at that cycle, mid-window
-    return run_checkpointed(
-        circuit, tests, engine, faults=stuck_at_universe(circuit),
-        checkpoint_path=path, checkpoint_every=CHECKPOINT_EVERY, resume=True,
-        record_responses=record,
-    )
+    return checkpointed(circuit, tests, engine, path, record, resume=True)
 
 
 def run_path(circuit, tests, engine, path, mode, tmp_dir):
@@ -110,10 +113,7 @@ def run_path(circuit, tests, engine, path, mode, tmp_dir):
     if path == "plain":
         return run_stuck_at(circuit, tests, engine, faults, record_responses=record)
     if path == "checkpoint":
-        return run_checkpointed(
-            circuit, tests, engine, faults=faults, checkpoint_path=checkpoint,
-            checkpoint_every=CHECKPOINT_EVERY, record_responses=record,
-        )
+        return checkpointed(circuit, tests, engine, checkpoint, record)
     if path == "resume":
         return killed_and_resumed(circuit, tests, engine, checkpoint, KILL_AFTER, record)
     return run_stuck_at(circuit, tests, engine, faults, jobs=2, record_responses=record)

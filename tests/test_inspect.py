@@ -10,6 +10,8 @@ import re
 
 import pytest
 
+from repro.campaign import Campaign, execute
+
 from repro.obs.inspect import (
     inspect_trace,
     load_sidecar,
@@ -18,7 +20,6 @@ from repro.obs.inspect import (
     top_gates_report,
 )
 from repro.obs.span import TraceContext, read_spans, stitch_trace, trace_ids
-from repro.parallel import run_parallel
 from repro.patterns.random_gen import random_sequence
 
 
@@ -31,8 +32,8 @@ def traced_run(tmp_path_factory):
     circuit = load("s27")
     tests = random_sequence(circuit, 20, seed=6)
     ctx = TraceContext.new_trace()
-    result = run_parallel(
-        circuit, tests, "csim-MV", jobs=2, trace_dir=trace_dir, trace_ctx=ctx
+    result = execute(
+        Campaign(circuit, tests, "csim-MV", jobs=2, trace_dir=trace_dir, trace_ctx=ctx)
     )
     return trace_dir, ctx, result
 
@@ -139,8 +140,10 @@ class TestCli:
         circuit = load("s27")
         tests = random_sequence(circuit, 10, seed=7)
         second = TraceContext.new_trace()
-        run_parallel(
-            circuit, tests, "csim-MV", jobs=2, trace_dir=trace_dir, trace_ctx=second
+        execute(
+            Campaign(
+                circuit, tests, "csim-MV", jobs=2, trace_dir=trace_dir, trace_ctx=second
+            )
         )
         ids = trace_ids(read_spans(trace_dir))
         assert set(ids) == {first_ctx.trace_id, second.trace_id}

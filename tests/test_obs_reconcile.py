@@ -12,9 +12,9 @@ import dataclasses
 
 import pytest
 
+from repro.campaign import Campaign, execute
 from repro.harness.runner import run_stuck_at, run_transition
 from repro.obs.tracer import RecordingTracer, Tracer
-from repro.parallel import run_parallel
 from repro.patterns.random_gen import random_sequence
 from repro.result import WorkCounters
 
@@ -80,15 +80,17 @@ class TestMergedAcrossShards:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_merged_telemetry_equals_merged_counters(self, s27, jobs):
         tests = random_sequence(s27, 24, seed=8)
-        result = run_parallel(s27, tests, "csim-MV", jobs=jobs, telemetry=True)
+        result = execute(
+            Campaign(s27, tests, "csim-MV", jobs=jobs, tracer=RecordingTracer())
+        )
         assert result.telemetry is not None
         assert result.telemetry.totals == result.counters
         assert result.counters.fault_evaluations > 0
 
     def test_merged_transition_telemetry(self, s27):
         tests = random_sequence(s27, 20, seed=9)
-        result = run_parallel(
-            s27, tests, "csim-MV", transition=True, jobs=2, telemetry=True
+        result = execute(
+            Campaign(s27, tests, mode="transition", jobs=2, tracer=RecordingTracer())
         )
         assert result.telemetry is not None
         assert result.telemetry.totals == result.counters

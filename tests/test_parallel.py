@@ -13,16 +13,17 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.campaign import Campaign, execute
 from repro.circuit.generate import random_circuit
 from repro.circuit.library import load
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import run_stuck_at, run_transition
+from repro.obs import RecordingTracer
 from repro.parallel import (
     MultiprocessExecutor,
     SequentialExecutor,
     activity_weights,
     merge_results,
-    run_parallel,
     shard_checkpoint_path,
     shard_faults,
 )
@@ -106,12 +107,14 @@ class TestOutcomeIdentity:
         self, s298, s298_tests, strategy, jobs
     ):
         base = run_stuck_at(s298, s298_tests, "csim-MV")
-        merged = run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            jobs=jobs,
-            shard_strategy=strategy,
+        merged = execute(
+            Campaign(
+                s298,
+                s298_tests,
+                "csim-MV",
+                jobs=jobs,
+                shard_strategy=strategy,
+            ),
             executor=SequentialExecutor(),
         )
         assert merged.detected == base.detected
@@ -121,7 +124,9 @@ class TestOutcomeIdentity:
 
     def test_k1_is_fully_identical(self, s298, s298_tests):
         base = run_stuck_at(s298, s298_tests, "csim-MV")
-        merged = run_parallel(s298, s298_tests, "csim-MV", jobs=1)
+        merged = execute(
+            Campaign(s298, s298_tests, "csim-MV", jobs=1), executor=SequentialExecutor()
+        )
         assert merged.detected == base.detected
         assert merged.counters == base.counters
         assert merged.memory == base.memory
@@ -130,18 +135,16 @@ class TestOutcomeIdentity:
     @pytest.mark.parametrize("engine", ["csim", "csim-MV", "PROOFS"])
     def test_every_engine_shards(self, s298, s298_tests, engine):
         base = run_stuck_at(s298, s298_tests, engine)
-        merged = run_parallel(
-            s298, s298_tests, engine, jobs=3, executor=SequentialExecutor()
+        merged = execute(
+            Campaign(s298, s298_tests, engine, jobs=3),
+            executor=SequentialExecutor(),
         )
         assert merged.detected == base.detected
 
     def test_transition_shards(self, s298, s298_tests):
         base = run_transition(s298, s298_tests)
-        merged = run_parallel(
-            s298,
-            s298_tests,
-            transition=True,
-            jobs=3,
+        merged = execute(
+            Campaign(s298, s298_tests, mode="transition", jobs=3),
             executor=SequentialExecutor(),
         )
         assert merged.detected == base.detected
@@ -150,12 +153,14 @@ class TestOutcomeIdentity:
     def test_executors_agree_exactly(self, s298, s298_tests):
         """The multiprocessing pool and its in-process twin must produce
         the same merged result, counters and telemetry included."""
-        kwargs = dict(jobs=2, shard_strategy="work-stealing", telemetry=True)
-        seq = run_parallel(
-            s298, s298_tests, "csim-MV", executor=SequentialExecutor(), **kwargs
+        kwargs = dict(jobs=2, shard_strategy="work-stealing", tracer=RecordingTracer())
+        seq = execute(
+            Campaign(s298, s298_tests, "csim-MV", **kwargs),
+            executor=SequentialExecutor(),
         )
-        mp = run_parallel(
-            s298, s298_tests, "csim-MV", executor=MultiprocessExecutor(2), **kwargs
+        mp = execute(
+            Campaign(s298, s298_tests, "csim-MV", **kwargs),
+            executor=MultiprocessExecutor(2),
         )
         assert mp.detected == seq.detected
         assert mp.counters == seq.counters
@@ -166,24 +171,16 @@ class TestOutcomeIdentity:
     def test_explicit_fault_subset(self, s298, s298_tests):
         subset = stuck_at_universe(s298)[::3]
         base = run_stuck_at(s298, s298_tests, "csim-MV", faults=subset)
-        merged = run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            faults=subset,
-            jobs=4,
+        merged = execute(
+            Campaign(s298, s298_tests, "csim-MV", faults=subset, jobs=4),
             executor=SequentialExecutor(),
         )
         assert merged.detected == base.detected
         assert merged.num_faults == len(subset)
 
     def test_merged_telemetry_sums_per_cycle_work(self, s298, s298_tests):
-        merged = run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            jobs=2,
-            telemetry=True,
+        merged = execute(
+            Campaign(s298, s298_tests, "csim-MV", jobs=2, tracer=RecordingTracer()),
             executor=SequentialExecutor(),
         )
         assert merged.telemetry is not None
@@ -248,15 +245,17 @@ class TestPartitionInvarianceProperty:
     @given(case=parallel_case(), data=st.data())
     def test_any_k_matches_k1(self, case, data):
         circuit, tests = case
-        base = run_parallel(circuit, tests, "csim-MV", jobs=1)
+        base = execute(Campaign(circuit, tests, "csim-MV", jobs=1))
         for jobs in (2, 4, 7):
             strategy = data.draw(st.sampled_from(STRATEGIES), label=f"K={jobs}")
-            merged = run_parallel(
-                circuit,
-                tests,
-                "csim-MV",
-                jobs=jobs,
-                shard_strategy=strategy,
+            merged = execute(
+                Campaign(
+                    circuit,
+                    tests,
+                    "csim-MV",
+                    jobs=jobs,
+                    shard_strategy=strategy,
+                ),
                 executor=SequentialExecutor(),
             )
             assert merged.detected == base.detected
@@ -270,14 +269,46 @@ class TestPartitionInvarianceProperty:
 # ----------------------------------------------------------------------
 
 
+class TestShardTasks:
+    def test_shard_task_carries_only_its_faults_and_scalars(self, s298, s298_tests):
+        """No tracer, full universe or collapse map crosses the process boundary."""
+        import pickle
+
+        class Capture(SequentialExecutor):
+            def run(self, tasks):
+                self.tasks = list(tasks)
+                return super().run(tasks)
+
+        executor = Capture()
+        campaign = Campaign(
+            s298, s298_tests, "csim-MV", collapse="equivalence", jobs=2,
+            tracer=RecordingTracer(),
+        )
+        merged = execute(campaign, executor=executor)
+        single = execute(Campaign(s298, s298_tests, collapse="equivalence"))
+        assert merged.detected == single.detected
+        shard_faults = []
+        for index, task in enumerate(executor.tasks):
+            shard = pickle.loads(pickle.dumps(task)).campaign
+            assert (task.index, task.total, task.telemetry) == (index, 2, True)
+            assert shard.tracer is None and shard.faults is None
+            assert shard.universe.collapsed is None
+            assert shard.universe.identity[-4:] == ("shard", "round-robin", index, 2)
+            shard_faults.extend(shard.universe.faults)
+        assert len(shard_faults) < merged.num_faults  # representatives only
+        assert sorted(shard_faults) == sorted(set(shard_faults))
+
+
 class TestParallelResilience:
     def test_budget_breach_in_one_worker_truncates_merged(self, s298, s298_tests):
-        merged = run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            jobs=2,
-            budget=Budget(max_cycles=5),
+        merged = execute(
+            Campaign(
+                s298,
+                s298_tests,
+                "csim-MV",
+                jobs=2,
+                budget=Budget(max_cycles=5),
+            ),
             executor=SequentialExecutor(),
         )
         assert merged.truncated
@@ -289,33 +320,38 @@ class TestParallelResilience:
         diff against the uninterrupted run: detections, counters and
         memory must all match."""
         base_path = str(tmp_path / "campaign.ckpt")
-        uninterrupted = run_parallel(
-            s298, s298_tests, "csim-MV", jobs=4, executor=SequentialExecutor()
+        uninterrupted = execute(
+            Campaign(s298, s298_tests, "csim-MV", jobs=4),
+            executor=SequentialExecutor(),
         )
 
         def bomb(index, result):
             raise KeyboardInterrupt
 
         with pytest.raises(CampaignInterrupted) as info:
-            run_parallel(
-                s298,
-                s298_tests,
-                "csim-MV",
-                jobs=4,
-                checkpoint_path=base_path,
-                checkpoint_every=8,
+            execute(
+                Campaign(
+                    s298,
+                    s298_tests,
+                    "csim-MV",
+                    jobs=4,
+                    checkpoint_path=base_path,
+                    checkpoint_every=8,
+                ),
                 executor=SequentialExecutor(on_result=bomb),
             )
         # The resume hint names the campaign base path, not a shard file.
         assert info.value.checkpoint_path == base_path
 
-        resumed = run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            jobs=4,
-            checkpoint_path=base_path,
-            resume=True,
+        resumed = execute(
+            Campaign(
+                s298,
+                s298_tests,
+                "csim-MV",
+                jobs=4,
+                checkpoint_path=base_path,
+                resume=True,
+            ),
             executor=SequentialExecutor(),
         )
         assert resumed.detected == uninterrupted.detected
@@ -325,17 +361,14 @@ class TestParallelResilience:
     def test_finished_shards_replay_from_checkpoint(self, s298, s298_tests, tmp_path):
         base_path = str(tmp_path / "campaign.ckpt")
         kwargs = dict(jobs=2, checkpoint_path=base_path, checkpoint_every=8)
-        full = run_parallel(
-            s298, s298_tests, "csim-MV", executor=SequentialExecutor(), **kwargs
+        full = execute(
+            Campaign(s298, s298_tests, "csim-MV", **kwargs),
+            executor=SequentialExecutor(),
         )
         assert (tmp_path / "campaign.ckpt.shard00-of-02").exists()
-        replay = run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            resume=True,
+        replay = execute(
+            Campaign(s298, s298_tests, "csim-MV", resume=True, **kwargs),
             executor=SequentialExecutor(),
-            **kwargs,
         )
         assert replay.detected == full.detected
         assert replay.counters == full.counters
@@ -347,30 +380,34 @@ class TestParallelResilience:
         position; resuming the same files under another strategy must be
         refused, not silently merged wrong."""
         base_path = str(tmp_path / "campaign.ckpt")
-        run_parallel(
-            s298,
-            s298_tests,
-            "csim-MV",
-            jobs=2,
-            shard_strategy="round-robin",
-            checkpoint_path=base_path,
-            executor=SequentialExecutor(),
-        )
-        with pytest.raises(CheckpointError):
-            run_parallel(
+        execute(
+            Campaign(
                 s298,
                 s298_tests,
                 "csim-MV",
                 jobs=2,
-                shard_strategy="level-balanced",
+                shard_strategy="round-robin",
                 checkpoint_path=base_path,
-                resume=True,
+            ),
+            executor=SequentialExecutor(),
+        )
+        with pytest.raises(CheckpointError):
+            execute(
+                Campaign(
+                    s298,
+                    s298_tests,
+                    "csim-MV",
+                    jobs=2,
+                    shard_strategy="level-balanced",
+                    checkpoint_path=base_path,
+                    resume=True,
+                ),
                 executor=SequentialExecutor(),
             )
 
     def test_resume_without_path_rejected(self, s298, s298_tests):
         with pytest.raises(ValueError, match="checkpoint"):
-            run_parallel(s298, s298_tests, "csim-MV", jobs=2, resume=True)
+            execute(Campaign(s298, s298_tests, "csim-MV", jobs=2, resume=True))
 
     def test_shard_checkpoint_paths_are_distinct(self):
         paths = {shard_checkpoint_path("c.ckpt", i, 12) for i in range(12)}

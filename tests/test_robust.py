@@ -5,6 +5,7 @@ import signal
 
 import pytest
 
+from repro.campaign import Campaign, execute
 from repro.circuit.library import load
 from repro.harness.runner import run_stuck_at, run_transition, workload_tests
 from repro.obs import RecordingTracer
@@ -20,7 +21,6 @@ from repro.robust import (
     config_fingerprint,
     invariant_violations,
     read_checkpoint,
-    run_checkpointed,
     run_fingerprint,
     run_with_ladder,
     write_checkpoint,
@@ -190,9 +190,15 @@ class TestBudget:
             if path == "direct":
                 result = run_stuck_at(circuit, tests, engine, budget=budget)
             elif path == "checkpointed":
-                result = run_checkpointed(
-                    circuit, tests, engine, budget=budget, checkpoint_every=16,
-                    checkpoint_path=str(tmp_path / f"{engine}.ckpt"),
+                result = execute(
+                    Campaign(
+                        circuit,
+                        tests,
+                        engine,
+                        budget=budget,
+                        checkpoint_every=16,
+                        checkpoint_path=str(tmp_path / f"{engine}.ckpt"),
+                    )
                 )
             else:
                 result = run_stuck_at(circuit, tests, engine, budget=budget, jobs=2)
@@ -223,39 +229,50 @@ class TestRunCheckpointed:
         path = str(tmp_path / "ck.pkl")
         # "Kill" mid-run via a cycle budget: the truncated run writes its
         # final checkpoint, exactly like an interrupted one.
-        partial = run_checkpointed(
-            circuit,
-            tests,
-            engine,
-            budget=Budget(max_cycles=max(2, len(tests.vectors) // 3)),
-            checkpoint_path=path,
-            checkpoint_every=4,
+        partial = execute(
+            Campaign(
+                circuit,
+                tests,
+                engine,
+                budget=Budget(max_cycles=max(2, len(tests.vectors) // 3)),
+                checkpoint_path=path,
+                checkpoint_every=4,
+            )
         )
         assert partial.truncated
         assert partial.num_vectors < reference.num_vectors
-        resumed = run_checkpointed(
-            circuit, tests, engine, checkpoint_path=path, resume=True
+        resumed = execute(
+            Campaign(circuit, tests, engine, checkpoint_path=path, resume=True)
         )
         _same_result(reference, resumed)
 
-    def test_uninterrupted_equals_plain_run(self, s27, s27_tests):
+    def test_uninterrupted_equals_plain_run(self, tmp_path, s27, s27_tests):
         reference = run_stuck_at(s27, s27_tests, "csim-MV")
-        result = run_checkpointed(s27, s27_tests, "csim-MV")
+        path = str(tmp_path / "ck.pkl")
+        result = execute(Campaign(s27, s27_tests, "csim-MV", checkpoint_path=path))
         _same_result(reference, result)
 
     def test_transition_resume_bit_identical(self, tmp_path, s27, s27_tests):
         reference = run_transition(s27, s27_tests)
         path = str(tmp_path / "ck.pkl")
-        partial = run_checkpointed(
-            s27,
-            s27_tests,
-            transition=True,
-            budget=Budget(max_cycles=10),
-            checkpoint_path=path,
+        partial = execute(
+            Campaign(
+                s27,
+                s27_tests,
+                mode="transition",
+                budget=Budget(max_cycles=10),
+                checkpoint_path=path,
+            )
         )
         assert partial.truncated
-        resumed = run_checkpointed(
-            s27, s27_tests, transition=True, checkpoint_path=path, resume=True
+        resumed = execute(
+            Campaign(
+                s27,
+                s27_tests,
+                mode="transition",
+                checkpoint_path=path,
+                resume=True,
+            )
         )
         _same_result(reference, resumed)
 
@@ -279,14 +296,20 @@ class TestRunCheckpointed:
 
         monkeypatch.setattr(ConcurrentFaultSimulator, "step", exploding_step)
         with pytest.raises(CampaignInterrupted) as info:
-            run_checkpointed(
-                s27, s27_tests, "csim-MV", checkpoint_path=path, checkpoint_every=4
+            execute(
+                Campaign(
+                    s27,
+                    s27_tests,
+                    "csim-MV",
+                    checkpoint_path=path,
+                    checkpoint_every=4,
+                )
             )
         assert info.value.checkpoint_path == path
         monkeypatch.setattr(ConcurrentFaultSimulator, "step", real_step)
         assert read_checkpoint(path).payload["cycle"] == 8
-        resumed = run_checkpointed(
-            s27, s27_tests, "csim-MV", checkpoint_path=path, resume=True
+        resumed = execute(
+            Campaign(s27, s27_tests, "csim-MV", checkpoint_path=path, resume=True)
         )
         _same_result(reference, resumed)
 
@@ -308,34 +331,38 @@ class TestRunCheckpointed:
         reference = run_stuck_at(s27, s27_tests, "csim-MV")
         path = str(tmp_path / "ck.pkl")
         with pytest.raises(CampaignInterrupted) as info:
-            run_checkpointed(
-                s27,
-                s27_tests,
-                "csim-MV",
-                tracer=Interrupter(),
-                checkpoint_path=path,
-                checkpoint_every=1000,
+            execute(
+                Campaign(
+                    s27,
+                    s27_tests,
+                    "csim-MV",
+                    tracer=Interrupter(),
+                    checkpoint_path=path,
+                    checkpoint_every=1000,
+                )
             )
         assert info.value.cycles_done == 9
         assert read_checkpoint(path).payload["cycle"] == 9
-        resumed = run_checkpointed(
-            s27, s27_tests, "csim-MV", checkpoint_path=path, resume=True
+        resumed = execute(
+            Campaign(s27, s27_tests, "csim-MV", checkpoint_path=path, resume=True)
         )
         _same_result(reference, resumed)
 
     def test_resume_with_wrong_config_refused(self, tmp_path, s27, s27_tests):
         path = str(tmp_path / "ck.pkl")
-        run_checkpointed(s27, s27_tests, "csim-MV", checkpoint_path=path)
+        execute(Campaign(s27, s27_tests, "csim-MV", checkpoint_path=path))
         with pytest.raises(CheckpointError, match="different campaign"):
-            run_checkpointed(s27, s27_tests, "csim", checkpoint_path=path, resume=True)
+            execute(Campaign(s27, s27_tests, "csim", checkpoint_path=path, resume=True))
 
     def test_resume_without_path_refused(self, s27, s27_tests):
         with pytest.raises(CheckpointError, match="without a checkpoint path"):
-            run_checkpointed(s27, s27_tests, resume=True)
+            execute(Campaign(s27, s27_tests, resume=True))
 
-    def test_serial_engine_rejected(self, s27, s27_tests):
+    def test_serial_engine_rejected(self, tmp_path, s27, s27_tests):
         with pytest.raises(ValueError, match="serial"):
-            run_checkpointed(s27, s27_tests, "serial")
+            execute(
+                Campaign(s27, s27_tests, "serial", checkpoint_path=str(tmp_path / "ck"))
+            )
 
 
 class TestInvariants:

@@ -76,6 +76,39 @@ class TestCleanRuns:
         assert sanitized.detected == plain.detected
 
 
+class TestShardedSanitize:
+    """A sharded transition campaign sanitizes every shard's engine,
+    whether or not it checkpoints."""
+
+    @pytest.mark.parametrize("checkpoint", (False, True), ids=("plain", "checkpointed"))
+    def test_every_shard_engine_runs_the_sanitizer(self, checkpoint, tmp_path, monkeypatch):
+        from repro.campaign import Campaign, execute
+        from repro.parallel import SequentialExecutor
+
+        built = []
+        real_init = FaultListSanitizer.__init__
+
+        def counting_init(self, simulator):
+            built.append(simulator)
+            real_init(self, simulator)
+
+        monkeypatch.setattr(FaultListSanitizer, "__init__", counting_init)
+        circuit = load("s27")
+        tests = random_sequence(circuit, 20, seed=4)
+        campaign = Campaign(
+            circuit,
+            tests,
+            mode="transition",
+            sanitize=True,
+            jobs=2,
+            checkpoint_path=str(tmp_path / "t.ckpt") if checkpoint else None,
+        )
+        result = execute(campaign, executor=SequentialExecutor())
+        assert len(built) == 2
+        assert all(isinstance(sim, TransitionFaultSimulator) for sim in built)
+        assert result.detected == run_transition(circuit, tests).detected
+
+
 class TestCorruptionDetection:
     """Every chaos corruption class must be flagged at the next boundary."""
 

@@ -255,7 +255,7 @@ class TestRetryAndDeadLetter:
         assert service.metrics_snapshot()["jobs"]["resurrected"] == 1
 
     def test_retry_job_resumes_sharded_checkpoints(self, tmp_path):
-        from repro.parallel.runner import run_parallel
+        from repro.campaign import Campaign, execute
         from repro.robust.budget import Budget
 
         service = make_service(tmp_path, retry_backoff_base=0.0, max_attempts=1)
@@ -266,14 +266,16 @@ class TestRetryAndDeadLetter:
         # What a dead attempt that got 8 cycles in leaves behind: one
         # checkpoint per shard under the job's checkpoint path.
         circuit = load("s27")
-        run_parallel(
-            circuit,
-            random_sequence(circuit, 40, seed=5),
-            "csim-MV",
-            jobs=2,
-            budget=Budget(max_cycles=8),
-            checkpoint_path=service._checkpoint_path(record.job_id),
-            checkpoint_every=4,
+        execute(
+            Campaign(
+                circuit,
+                random_sequence(circuit, 40, seed=5),
+                "csim-MV",
+                jobs=2,
+                budget=Budget(max_cycles=8),
+                checkpoint_path=service._checkpoint_path(record.job_id),
+                checkpoint_every=4,
+            )
         )
 
         assert service.retry_job(record.job_id)

@@ -310,30 +310,34 @@ class TestBitIdentity:
 
 class TestPruneResume:
     def test_pruned_checkpoint_resumes_to_straight_result(self, tmp_path):
-        from repro.robust import Budget, run_checkpointed
+        from repro.campaign import Campaign, execute
+        from repro.robust import Budget
 
         circuit = load("s386")
         tests = random_sequence(circuit, 40, seed=23)
         kept = prune_untestable(circuit, stuck_at_universe(circuit)).kept
         straight = run_stuck_at(circuit, tests, "csim-MV", faults=kept)
         path = str(tmp_path / "ck.pkl")
-        first = run_checkpointed(
-            circuit,
-            tests,
-            faults=kept,
-            checkpoint_path=path,
-            budget=Budget(max_cycles=15),
+        first = execute(
+            Campaign(
+                circuit,
+                tests,
+                faults=kept,
+                checkpoint_path=path,
+                budget=Budget(max_cycles=15),
+            )
         )
         assert first.truncated
-        resumed = run_checkpointed(
-            circuit, tests, faults=kept, checkpoint_path=path, resume=True
+        resumed = execute(
+            Campaign(circuit, tests, faults=kept, checkpoint_path=path, resume=True)
         )
         assert resumed.detected == straight.detected
 
     def test_pruned_checkpoint_rejects_full_universe_resume(self, tmp_path):
         # The fingerprint covers the fault list, so a checkpoint written
         # with pruned faults must not silently resume an unpruned run.
-        from repro.robust import Budget, run_checkpointed
+        from repro.campaign import Campaign, execute
+        from repro.robust import Budget
         from repro.robust.checkpoint import CheckpointError
 
         circuit = load("s386")
@@ -341,14 +345,16 @@ class TestPruneResume:
         universe = stuck_at_universe(circuit)
         kept = prune_untestable(circuit, universe).kept
         path = str(tmp_path / "ck.pkl")
-        run_checkpointed(
-            circuit,
-            tests,
-            faults=kept,
-            checkpoint_path=path,
-            budget=Budget(max_cycles=15),
+        execute(
+            Campaign(
+                circuit,
+                tests,
+                faults=kept,
+                checkpoint_path=path,
+                budget=Budget(max_cycles=15),
+            )
         )
         with pytest.raises(CheckpointError):
-            run_checkpointed(
-                circuit, tests, faults=universe, checkpoint_path=path, resume=True
+            execute(
+                Campaign(circuit, tests, faults=universe, checkpoint_path=path, resume=True)
             )

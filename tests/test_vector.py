@@ -330,18 +330,23 @@ class TestHarnessIntegration:
         )
 
     def test_checkpoint_resume_bit_identical(self, tmp_path, s27, s27_tests):
-        from repro.robust import Budget, run_checkpointed
+        from repro.campaign import Campaign, execute
+        from repro.robust import Budget
 
         path = str(tmp_path / "vector.ckpt")
-        reference = run_checkpointed(s27, s27_tests, "vsim", word_width=16)
-        partial = run_checkpointed(
-            s27, s27_tests, "vsim", word_width=16, checkpoint_path=path,
-            budget=Budget(max_cycles=len(s27_tests.vectors) // 3),
+        reference = execute(Campaign(s27, s27_tests, "vsim", word_width=16))
+        partial = execute(
+            Campaign(
+                s27, s27_tests, "vsim", word_width=16, checkpoint_path=path,
+                budget=Budget(max_cycles=len(s27_tests.vectors) // 3),
+            )
         )
         assert partial.truncated
-        resumed = run_checkpointed(
-            s27, s27_tests, "vsim", word_width=16, checkpoint_path=path,
-            resume=True,
+        resumed = execute(
+            Campaign(
+                s27, s27_tests, "vsim", word_width=16, checkpoint_path=path,
+                resume=True,
+            )
         )
         _assert_identical(reference, resumed)
         assert resumed.counters.cycles == len(s27_tests.vectors)
