@@ -121,12 +121,18 @@ class Campaign:
             )
         if self.engine == "serial" and self.checkpoint_path is not None:
             raise ValueError("the serial oracle has no incremental simulator object")
+        if self.dictionary is not None and self.mode != "record":
+            raise ValueError("a dictionary kind needs a record-mode campaign")
         if self.ladder is not None and (
-            self.jobs > 1 or self.checkpoint_path is not None or self.sanitize
+            self.mode != "detect"
+            or self.jobs > 1
+            or self.checkpoint_path is not None
+            or self.options is not None
+            or self.sanitize
         ):
             raise ValueError(
-                "a ladder audits one engine in one process: no jobs, "
-                "checkpoint or sanitize"
+                "a ladder audits stuck-at detection by its own engines in one "
+                "process: no other mode, jobs, checkpoint, options or sanitize"
             )
         if self.sanitize:
             if self.engine == "serial" and self.mode == "transition":

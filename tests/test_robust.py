@@ -7,6 +7,7 @@ import pytest
 
 from repro.campaign import Campaign, execute
 from repro.circuit.library import load
+from repro.concurrent.options import SimOptions
 from repro.harness.runner import run_stuck_at, run_transition, workload_tests
 from repro.obs import RecordingTracer
 from repro.obs.tracer import Tracer
@@ -489,6 +490,27 @@ class TestLadder:
                 ladder=("csim-MV", "csim"),
                 simulator_factory=lambda *a: Exploding(),
             )
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"mode": "transition"},
+            {"mode": "record"},
+            {"jobs": 2},
+            {"checkpoint_path": "ck.pkl"},
+            {"options": SimOptions()},
+            {"sanitize": True},
+        ],
+        ids=lambda settings: next(iter(settings)),
+    )
+    def test_ladder_campaign_refuses_settings_it_cannot_honour(
+        self, s27, s27_tests, settings
+    ):
+        from repro.campaign import Campaign
+        from repro.robust import DEFAULT_LADDER
+
+        with pytest.raises(ValueError, match="ladder"):
+            Campaign(s27, s27_tests, ladder=DEFAULT_LADDER, **settings)
 
     def test_empty_ladder_rejected(self, s27, s27_tests):
         with pytest.raises(ValueError, match="empty"):
