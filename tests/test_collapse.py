@@ -7,6 +7,8 @@ simulating the full universe — per engine, per shard count, with and
 without untestable-fault pruning, and across a kill/resume.
 """
 
+import json
+import os
 import random
 
 import pytest
@@ -21,6 +23,23 @@ from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.runner import run_stuck_at, run_transition
 from repro.patterns.random_gen import random_sequence
 from repro.robust.budget import Budget
+
+#: ``fingerprint_material()`` digests of the full-universe equivalence
+#: maps, pinned in ``golden/identity.json``.  Checkpoint fingerprints
+#: embed them, so a change here orphans every collapsed checkpoint.
+GOLDEN_FINGERPRINT_KEYS = [
+    ("s27", False),
+    ("s27", True),
+    ("s298", False),
+    ("s298", True),
+]
+
+
+def _golden_fingerprint(name, transition):
+    path = os.path.join(os.path.dirname(__file__), "golden", "identity.json")
+    with open(path, encoding="utf-8") as handle:
+        digests = json.load(handle)["collapse_fingerprints"]
+    return digests[f"{name}/{'transition' if transition else 'stuck-at'}"]
 
 
 def _same_detections(left, right):
@@ -47,6 +66,16 @@ class TestClasses:
         circuit = load(name, scale=scale)
         assert stuck_at_universe(circuit) == list(
             collapse_universe(circuit).representatives
+        )
+
+    @pytest.mark.parametrize("key", GOLDEN_FINGERPRINT_KEYS)
+    def test_fingerprint_material_matches_golden(self, key):
+        name, transition = key
+        material = collapse_universe(load(name), transition=transition)
+        assert material.fingerprint_material() == (
+            "collapse",
+            "equivalence",
+            _golden_fingerprint(name, transition),
         )
 
     def test_map_covers_universe_and_reps_are_fixed_points(self, s27):
