@@ -51,7 +51,7 @@ def main() -> None:
         verdict = "FOUND" if culprit in result.exact_candidates else "missed"
         print(
             f"device {device}: injected {fault_name(circuit, culprit):<18} "
-            f"{len(observed):>3} failures -> {result.summary()} [{verdict}]"
+            f"{len(observed):>3} failures -> {result.summary(circuit)} [{verdict}]"
         )
 
     print("\n=== an intermittent device (every other failure observed) ===")

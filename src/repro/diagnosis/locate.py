@@ -12,10 +12,11 @@ flaky failures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.circuit.netlist import Circuit
 from repro.diagnosis.dictionary import FaultDictionary
-from repro.faults.model import Fault
+from repro.faults.model import Fault, fault_name
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,17 @@ class DiagnosisResult:
             raise ValueError("no candidate faults (empty dictionary?)")
         return self.candidates[0]
 
-    def summary(self) -> str:
+    def summary(self, circuit: Optional[Circuit] = None) -> str:
+        """One line for the ranking; the closest fault is named by
+        :func:`fault_name` on *circuit* when it is given."""
         if not self.candidates:
             return "no candidates"
         exact = self.exact_candidates
         if exact:
             return f"exact match: {len(exact)} equivalent candidate(s)"
         best = self.best
-        return f"closest: {best.fault} (score {best.score:.3f})"
+        name = best.fault if circuit is None else fault_name(circuit, best.fault)
+        return f"closest: {name} (score {best.score:.3f})"
 
 
 def diagnose(

@@ -188,7 +188,7 @@ def serialize_rankings(
         "num_vectors": dictionary.num_vectors,
         "observed": [list(item) if isinstance(item, tuple) else item
                      for item in sorted(result.observed)],
-        "summary": result.summary(),
+        "summary": result.summary(circuit),
         "candidates": [
             {
                 "fault": fault_name(circuit, candidate.fault),

@@ -1,5 +1,6 @@
 """Fault dictionaries and dictionary-based diagnosis."""
 
+import json
 import random
 
 import pytest
@@ -125,6 +126,17 @@ class TestDiagnose:
         fault = dictionary.detected_faults()[0]
         result = diagnose(dictionary, dictionary.signature(fault))
         assert "exact" in result.summary()
+
+    def test_cli_summary_names_the_closest_fault(self, capsys):
+        """The serialized summary names the best fault the way its first
+        candidate does, not with the fault object's repr."""
+        from repro.cli import main
+
+        assert main(["diagnose", "s27", "--random-patterns", "64", "--seed", "9",
+                     "--failures", "17:0,18:0,19:0,28:0", "--top", "3"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["candidates"][0]["fault"] == "G2:SA1"
+        assert body["summary"] == "closest: G2:SA1 (score 0.444)"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_circuits_roundtrip(self, seed):
