@@ -176,6 +176,9 @@ class JobSpec:
         if jobs < 1:
             raise SpecError("'jobs' must be >= 1")
         transition = _opt_bool(payload, "transition")
+        if transition and engine != "csim-MV":
+            # csim-MV is the stored default; a transition job runs csim-TV.
+            raise SpecError(f"a transition job runs csim-TV, not engine {engine!r}")
         collapse = _opt_str(payload, "collapse")
         if collapse is not None and collapse != "equivalence":
             raise SpecError(f"'collapse' must be 'equivalence', not {collapse!r}")

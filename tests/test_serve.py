@@ -55,6 +55,19 @@ class TestSubmit:
                 service.submit(payload)
         assert service.store.all_records() == []
 
+    @pytest.mark.parametrize("engine", ["PROOFS", "vsim", "serial", "csim", "csim-V"])
+    def test_transition_spec_refuses_another_engine(self, engine, tmp_path):
+        """A transition job always runs csim-TV; an engine it would ignore
+        is refused instead of being served as csim-TV."""
+        service = make_service(tmp_path)
+        with pytest.raises(SpecError, match="transition"):
+            service.submit(dict(S27_JOB, transition=True, engine=engine))
+        assert service.store.all_records() == []
+
+    def test_transition_spec_round_trips_its_default_engine(self):
+        spec = JobSpec.from_payload(dict(S27_JOB, transition=True))
+        assert JobSpec.from_payload(spec.to_payload()) == spec
+
     def test_idempotency_key_returns_existing(self, tmp_path):
         service = make_service(tmp_path)
         first, created_first = service.submit(
