@@ -21,12 +21,14 @@ cross-validation tests rely on this.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.netlist import Circuit, CircuitBuilder, evaluate_gate
+from repro.circuit.netlist import Circuit, CircuitBuilder
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
-from repro.logic.tables import GateType, MAX_TABLE_ARITY, build_table
+from repro.logic.tables import GateType, MAX_TABLE_ARITY, evaluate, pack_inputs, packed_table
+from repro.logic.values import VALUES, X
 
 
 @dataclass
@@ -48,44 +50,98 @@ class Region:
         return len(self.internal) == 1
 
 
-def evaluate_region(
-    flat: Circuit,
-    region: Region,
-    pin_values: Sequence[int],
-    injection: Optional[StuckAtFault] = None,
-) -> int:
-    """Three-valued evaluation of a region, optionally with one stuck fault.
+class RegionTables:
+    """Good and faulty region lookup tables, built column-wise and shared
+    by region shape.
 
-    The injection is a stuck-at fault on a flat gate inside the region
-    (input pin or output line); pin forcing is applied when the owning gate
-    is evaluated, output forcing right after it.
+    Each region compiles once into *steps*: its internal gates in order,
+    each a primitive gate type plus the labels of its inputs (pin ``i`` is
+    label ``i``, step ``j``'s output is label ``pins + j``).  A source
+    feeding several pins is read from its last pin, so only consistent
+    combinations of those pins are meaningful; run time never looks up
+    the others.  A table evaluates every step once over the 3^k legal pin
+    combinations, one value column per label, and scatters the root's
+    column into the packed 4^k table (``X`` at indices holding the unused
+    code).  A stuck input pin reads a constant column; a stuck output
+    replaces its step's column.
 
-    Duplicate pins (one source feeding two pins) are written in pin order;
-    at run time the macro's fanin reads the same source for both pins, so
-    only consistent (equal-valued) combinations are ever looked up and the
-    inconsistent table entries this writes are unreachable.
+    Regions with the same shape — pin count, steps and root label — get
+    the same tuple, as do faults at the same step, pin and value of one
+    shape.  The sharing lasts as long as this object: one per
+    :func:`extract_macros` call and one per engine build, so no table
+    outlives the engine that needed it.  Regions are known by their root,
+    so one instance serves one partition of *flat*.
     """
-    values: Dict[int, int] = {}
-    for pin_index, source in enumerate(region.pins):
-        values[source] = pin_values[pin_index]
-    for gate_index in region.internal:
-        gate = flat.gates[gate_index]
-        inputs = [values[source] for source in gate.fanin]
-        if (
-            injection is not None
-            and injection.gate == gate_index
-            and injection.pin != OUTPUT_PIN
-        ):
-            inputs[injection.pin] = injection.value
-        value = evaluate_gate(gate, inputs)
-        if (
-            injection is not None
-            and injection.gate == gate_index
-            and injection.pin == OUTPUT_PIN
-        ):
-            value = injection.value
-        values[gate_index] = value
-    return values[region.root]
+
+    def __init__(self, flat: Circuit) -> None:
+        self.flat = flat
+        self._compiled: Dict[int, Tuple[tuple, Dict[int, int]]] = {}
+        self._tables: Dict[tuple, Tuple[int, ...]] = {}
+        self._domains: Dict[int, Tuple[List[int], List[List[int]]]] = {}
+
+    def table(self, region: Region, fault: Optional[StuckAtFault] = None) -> Tuple[int, ...]:
+        """The region's table, with *fault* (a flat stuck-at fault on one of
+        its internal gates) injected when given."""
+        compiled = self._compiled.get(region.root)
+        if compiled is None:
+            compiled = self._compiled[region.root] = self._compile(region)
+        shape, label = compiled
+        if fault is None:
+            key: tuple = (shape, None)
+        else:
+            key = (shape, (label[fault.gate] - len(region.pins), fault.pin, fault.value))
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._evaluate(shape, key[1])
+        return table
+
+    def _compile(self, region: Region) -> Tuple[tuple, Dict[int, int]]:
+        gates = self.flat.gates
+        label = {source: pin for pin, source in enumerate(region.pins)}
+        steps = []
+        for index in region.internal:
+            gate = gates[index]
+            steps.append((gate.gtype, tuple(label[source] for source in gate.fanin)))
+            label[index] = len(region.pins) + len(steps) - 1
+        return (len(region.pins), tuple(steps), label[region.root]), label
+
+    def _evaluate(self, shape: tuple, injection: Optional[Tuple[int, int, int]]) -> Tuple[int, ...]:
+        pins, steps, root = shape
+        domain = self._domains.get(pins)
+        if domain is None:
+            combinations = list(itertools.product(VALUES, repeat=pins))
+            columns = [list(column) for column in zip(*combinations)]
+            domain = self._domains[pins] = ([pack_inputs(c) for c in combinations], columns)
+        legal, columns = domain
+        size = len(legal)
+        columns = list(columns)
+        for position, (gtype, labels) in enumerate(steps):
+            inputs = [columns[label] for label in labels]
+            if injection is not None and injection[0] == position:
+                _, pin, value = injection
+                if pin == OUTPUT_PIN:
+                    columns.append([value] * size)
+                    continue
+                inputs[pin] = [value] * size
+            columns.append(_evaluate_column(gtype, inputs, size))
+        table = [X] * (1 << (2 * pins))
+        for index, value in zip(legal, columns[root]):
+            table[index] = value
+        return tuple(table)
+
+
+def _evaluate_column(gtype: GateType, inputs: List[List[int]], size: int) -> List[int]:
+    """One gate over a column of input combinations, through its packed table."""
+    if len(inputs) > MAX_TABLE_ARITY:
+        return [evaluate(gtype, row) for row in zip(*inputs)]
+    table = packed_table(gtype, len(inputs))
+    if not inputs:
+        return [table[0]] * size
+    words = inputs[0]
+    for position in range(1, len(inputs)):
+        shift = 2 * position
+        words = [word | value << shift for word, value in zip(words, inputs[position])]
+    return list(map(table.__getitem__, words))
 
 
 class MacroCircuit:
@@ -119,25 +175,18 @@ class MacroCircuit:
         """The fault-free lookup table of the region rooted at *root*."""
         return self._good_tables[root]
 
-    def faulty_table(self, root: int, fault: StuckAtFault) -> Tuple[int, ...]:
-        """The functional-fault table of *fault* inside the region at *root*."""
-        region = self.regions[root]
-        return build_table(
-            lambda inputs: evaluate_region(self.flat, region, inputs, injection=fault),
-            len(region.pins),
-        )
-
     def new_index_of(self, flat_index: int) -> int:
         """Index in the macro circuit of a surviving flat gate (by name)."""
         return self._new_index[self.flat.gates[flat_index].name]
 
-    def translate_stuck_at(self, fault: StuckAtFault):
+    def translate_stuck_at(self, fault: StuckAtFault, tables: Optional[RegionTables] = None):
         """Translate a flat stuck-at fault for the macro circuit.
 
         Returns ``(site_gate, behavior, pin, value, table)`` matching the
         fields of :class:`repro.concurrent.elements.FaultDescriptor`, with
         *behavior* as a string: ``"force_output"``, ``"force_input"`` or
-        ``"table"``.
+        ``"table"``.  Faulty tables come from *tables*, so translating a
+        whole universe through one :class:`RegionTables` shares them.
         """
         flat = self.flat
         site = flat.gates[fault.gate]
@@ -155,9 +204,10 @@ class MacroCircuit:
                 return (site_new, "force_output", OUTPUT_PIN, fault.value, None)
             return (site_new, "force_input", fault.pin, fault.value, None)
 
-        site_new = self.new_index_of(root)
-        table = self.faulty_table(root, fault)
-        return (site_new, "table", OUTPUT_PIN, fault.value, table)
+        if tables is None:
+            tables = RegionTables(flat)
+        table = tables.table(self.regions[root], fault)
+        return (self.new_index_of(root), "table", OUTPUT_PIN, fault.value, table)
 
     def summary(self) -> str:
         macros = sum(1 for root in self.regions if root not in self.plain_roots)
@@ -317,14 +367,12 @@ def extract_macros(
         or (len(region.pins) > max_inputs and region.is_trivial)
     )
 
-    good_tables: Dict[int, Tuple[int, ...]] = {}
-    for root, region in regions.items():
-        if root in plain_roots:
-            continue
-        good_tables[root] = build_table(
-            lambda inputs, _region=region: evaluate_region(circuit, _region, inputs),
-            len(region.pins),
-        )
+    tables = RegionTables(circuit)
+    good_tables = {
+        root: tables.table(region)
+        for root, region in regions.items()
+        if root not in plain_roots
+    }
 
     # Build the macro circuit bottom-up so generated netlists read naturally
     # (CircuitBuilder itself tolerates any declaration order).

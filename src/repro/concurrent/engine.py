@@ -43,7 +43,7 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.circuit.macro import extract_macros
+from repro.circuit.macro import RegionTables, extract_macros
 from repro.circuit.netlist import Circuit
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.options import SimOptions
@@ -79,11 +79,25 @@ _EVAL_TABLE_CACHE: "WeakKeyDictionary[Circuit, Tuple]" = WeakKeyDictionary()
 _MACRO_CACHE: "WeakKeyDictionary[Circuit, Dict[int, object]]" = WeakKeyDictionary()
 
 
+class _UnpackedTable:
+    """Stands in for the table of a gate wider than ``MAX_TABLE_ARITY``:
+    indexing unpacks the word and evaluates it."""
+
+    __slots__ = ("gate_type", "arity")
+
+    def __init__(self, gate_type: GateType, arity: int) -> None:
+        self.gate_type = gate_type
+        self.arity = arity
+
+    def __getitem__(self, packed: int) -> int:
+        return evaluate(self.gate_type, unpack_inputs(packed, self.arity))
+
+
 def shared_eval_tables(circuit: Circuit) -> Tuple[Optional[Tuple[int, ...]], ...]:
     """Per-gate packed-input lookup tables for *circuit*, memoized.
 
-    ``None`` entries (sources and too-wide gates) take the list-based
-    fallback in :meth:`ConcurrentFaultSimulator._evaluate`.
+    Sources get ``None``; gates too wide to tabulate get an
+    :class:`_UnpackedTable`.
     """
     tables = _EVAL_TABLE_CACHE.get(circuit)
     if tables is None:
@@ -96,7 +110,7 @@ def shared_eval_tables(circuit: Circuit) -> Tuple[Optional[Tuple[int, ...]], ...
             elif gate.arity <= MAX_TABLE_ARITY:
                 built.append(packed_table(gate.gtype, gate.arity))
             else:
-                built.append(None)
+                built.append(_UnpackedTable(gate.gtype, gate.arity))
         tables = tuple(built)
         _EVAL_TABLE_CACHE[circuit] = tables
     return tables
@@ -200,15 +214,19 @@ class ConcurrentFaultSimulator:
         self.local_faults: Dict[int, List[int]] = {
             gate.index: [] for gate in circuit.gates
         }
+        # Faults of one region shape share a table for this build only.
+        tables = None if self.macro is None else RegionTables(self.macro.flat)
         for fid, fault in enumerate(self.faults):
-            descriptor = self._make_descriptor(fid, fault)
+            descriptor = self._make_descriptor(fid, fault, tables)
             self.descriptors.append(descriptor)
             if not self._is_inert(descriptor):
                 self.local_faults[descriptor.site_gate].append(fid)
 
-    def _make_descriptor(self, fid: int, fault: StuckAtFault) -> FaultDescriptor:
+    def _make_descriptor(
+        self, fid: int, fault: StuckAtFault, tables: Optional[RegionTables] = None
+    ) -> FaultDescriptor:
         if self.macro is not None:
-            site, behavior, pin, value, table = self.macro.translate_stuck_at(fault)
+            site, behavior, pin, value, table = self.macro.translate_stuck_at(fault, tables)
             return FaultDescriptor(
                 fid=fid,
                 fault=fault,
@@ -269,10 +287,10 @@ class ConcurrentFaultSimulator:
         # When not None, _evaluate records every gate it touches here (the
         # transition engine uses this to seed its second pass).
         self._record_evaluated: Optional[Set[int]] = None
-        # Reusable scratch for _candidates/_compute_ff_updates: one dict and
-        # one purge list serve every gate evaluation instead of fresh
-        # allocations per call.  Transient — never snapshotted.
-        self._scratch_candidates: Dict[int, bool] = {}
+        # Reusable scratch for _gather: one dict and one purge list serve
+        # every gate evaluation instead of fresh allocations per call.
+        # Transient — never snapshotted.
+        self._scratch_candidates: Dict[int, int] = {}
         self._scratch_purge: List[Tuple[int, int]] = []
         for descriptor in self.descriptors:
             descriptor.detected = False
@@ -553,99 +571,77 @@ class ConcurrentFaultSimulator:
             return gate.table[pack_inputs(inputs)]
         return evaluate(gate.gtype, inputs)
 
-    def _scan_bucket(
-        self,
-        source: int,
-        bucket: Dict[int, int],
-        candidates: Dict[int, bool],
-        purge: List[Tuple[int, int]],
-        drop: bool,
-    ) -> None:
-        """Collect one element list into *candidates* (detected -> *purge*)."""
-        self.counters.element_visits += len(bucket)
-        trace = self.tracer
-        if trace is not None:
-            trace.element_visits(source, len(bucket))
-        if drop:
-            descriptors = self.descriptors
-            for fid in bucket:
-                if descriptors[fid].detected:
-                    purge.append((source, fid))
-                else:
-                    candidates[fid] = True
-        else:
-            for fid in bucket:
-                candidates[fid] = True
+    def _gather(self, gate_index: int, fanin: Tuple[int, ...]) -> Dict[int, int]:
+        """One multi-list traversal: the faulty machines to evaluate at this
+        gate, each mapped to the XOR of its packed input word against the
+        good machine's, so its state is ``good_packed ^ delta``.
 
-    def _candidates(self, gate_index: int, fanin: Tuple[int, ...]) -> Dict[int, bool]:
-        """Assemble the fault set to evaluate at this gate.
-
-        Faults explicit on a fanin's visible list (plus, without list
+        The traversal walks each fanin's visible list (plus, without list
         splitting, its invisible list — the scan the ``-V`` variants
-        avoid), the gate's own lists (for convergence), and the faults
-        whose site is this gate.  Detected faults are dropped from the
-        lists as they are encountered (event-driven dropping).
+        avoid), then the gate's own lists (for convergence) and the faults
+        whose site is this gate.  Only visible fanin elements carry a value
+        that differs from the good machine's.  Detected faults are dropped
+        from the lists as they are encountered (event-driven dropping).
 
         The returned dict is the engine's reusable scratch: it is valid
-        until the next ``_candidates`` call, which is exactly the lifetime
+        until the next ``_gather`` call, which is exactly the lifetime
         every caller needs (iterate once, then move to the next gate).
         """
         descriptors = self.descriptors
         drop = self.options.drop_detected
         split = self.options.split_lists
-        vis = self.vis
-        invis = self.invis
-        candidates = self._scratch_candidates
-        candidates.clear()
+        good = self.good
+        counters = self.counters
+        trace = self.tracer
+        deltas = self._scratch_candidates
+        deltas.clear()
         purge = self._scratch_purge
         purge.clear()
-
+        vis = self.vis
+        shift = 0
         for source in fanin:
             bucket = vis[source]
             if bucket:
-                self._scan_bucket(source, bucket, candidates, purge, drop)
-            if not split:
-                bucket = invis[source]
-                if bucket:
-                    self._scan_bucket(source, bucket, candidates, purge, drop)
-        bucket = vis[gate_index]
-        if bucket:
-            self._scan_bucket(gate_index, bucket, candidates, purge, drop)
-        bucket = invis[gate_index]
-        if bucket:
-            self._scan_bucket(gate_index, bucket, candidates, purge, drop)
+                counters.element_visits += len(bucket)
+                if trace is not None:
+                    trace.element_visits(source, len(bucket))
+                good_value = good[source]
+                for fid, value in bucket.items():
+                    if drop and descriptors[fid].detected:
+                        purge.append((source, fid))
+                    elif fid in deltas:
+                        deltas[fid] ^= (value ^ good_value) << shift
+                    else:
+                        deltas[fid] = (value ^ good_value) << shift
+            shift += 2
+            if not split and self.invis[source]:
+                self._gather_unchanged(source, self.invis[source], purge)
+        if vis[gate_index]:
+            self._gather_unchanged(gate_index, vis[gate_index], purge)
+        if self.invis[gate_index]:
+            self._gather_unchanged(gate_index, self.invis[gate_index], purge)
         for fid in self.local_faults[gate_index]:
-            if drop and descriptors[fid].detected:
-                continue
-            candidates[fid] = True
+            if fid not in deltas and not (drop and descriptors[fid].detected):
+                deltas[fid] = 0
         for source, fid in purge:
             self._remove(source, fid)
-        return candidates
+        return deltas
 
-    def _faulty_output(
-        self,
-        descriptor: FaultDescriptor,
-        gate,
-        gate_index: int,
-        inputs: List[int],
-    ) -> int:
-        """Evaluate one faulty machine at one gate (inputs already faulty).
-
-        ``inputs`` is mutated in place for input-forcing faults; callers
-        pass a fresh list per fault.
-        """
-        if descriptor.site_gate == gate_index:
-            behavior = descriptor.behavior
-            if behavior is Behavior.FORCE_OUTPUT:
-                return descriptor.value
-            if behavior is Behavior.FORCE_INPUT:
-                inputs[descriptor.pin] = descriptor.value
-                return self._good_output(gate, inputs)
-            if behavior is Behavior.TABLE:
-                return descriptor.table[pack_inputs(inputs)]
-            if behavior is Behavior.TRANSITION:
-                return self._transition_output(descriptor, gate, inputs)
-        return self._good_output(gate, inputs)
+    def _gather_unchanged(self, source: int, bucket: Dict[int, int], purge) -> None:
+        """Add one list whose elements leave this gate's inputs as the good
+        machine's (detected ones go to *purge*)."""
+        self.counters.element_visits += len(bucket)
+        trace = self.tracer
+        if trace is not None:
+            trace.element_visits(source, len(bucket))
+        deltas = self._scratch_candidates
+        descriptors = self.descriptors
+        drop = self.options.drop_detected
+        for fid in bucket:
+            if drop and descriptors[fid].detected:
+                purge.append((source, fid))
+            elif fid not in deltas:
+                deltas[fid] = 0
 
     def _transition_output(self, descriptor, gate, inputs):  # pragma: no cover
         raise NotImplementedError(
@@ -663,14 +659,12 @@ class ConcurrentFaultSimulator:
 
         The hot path works on packed state words — the paper's "the state
         of a gate is packed into a word so that the output can be
-        efficiently evaluated by table look up": inputs pack 2 bits per
-        pin while being gathered, evaluation is one table index, and the
-        divergence test is a single word comparison against the good
-        machine's packed state.  Gates wider than the table bound fall
-        back to list-based evaluation.
+        efficiently evaluated by table look up": :meth:`_gather` yields
+        each faulty machine's word as an XOR against the good one,
+        evaluation is one table index, and the divergence test is a single
+        word comparison against the good machine's packed state.
         """
-        circuit = self.circuit
-        gate = circuit.gates[gate_index]
+        gate = self.circuit.gates[gate_index]
         if self._record_evaluated is not None:
             self._record_evaluated.add(gate_index)
         fanin = gate.fanin
@@ -682,93 +676,80 @@ class ConcurrentFaultSimulator:
         if trace is not None:
             trace.good_evals(gate_index)
 
-        vis = self.vis
+        good_packed = 0
+        shift = 0
+        for source in fanin:
+            good_packed |= good[source] << shift
+            shift += 2
+        new_good = table[good_packed]
+        good[gate_index] = new_good
+
+        candidates = self._gather(gate_index, fanin)
+        if candidates:
+            self.counters.fault_evaluations += len(candidates)
+            if trace is not None:
+                trace.fault_evals(gate_index, len(candidates))
+        vis_here = self.vis[gate_index]
         invis_here = self.invis[gate_index]
-        vis_here = vis[gate_index]
-        counters = self.counters
         descriptors = self.descriptors
+        live = self._live_elements
         fault_event = False
-
-        if table is not None:
-            good_packed = 0
-            shift = 0
-            for source in fanin:
-                good_packed |= good[source] << shift
-                shift += 2
-            new_good = table[good_packed]
-            good[gate_index] = new_good
-
-            candidates = self._candidates(gate_index, fanin)
-            if trace is not None and candidates:
-                trace.fault_evals(gate_index, len(candidates))
-            for fid in candidates:
-                counters.fault_evaluations += 1
-                packed = 0
-                shift = 0
-                for source in fanin:
-                    value = vis[source].get(fid)
-                    if value is None:
-                        value = good[source]
-                    packed |= value << shift
-                    shift += 2
-                descriptor = descriptors[fid]
-                if descriptor.site_gate != gate_index:
+        for fid, delta in candidates.items():
+            packed = good_packed ^ delta
+            descriptor = descriptors[fid]
+            if descriptor.site_gate != gate_index:
+                out = table[packed]
+            else:
+                behavior = descriptor.behavior
+                if behavior is Behavior.FORCE_OUTPUT:
+                    out = descriptor.value
+                elif behavior is Behavior.FORCE_INPUT:
+                    position = 2 * descriptor.pin
+                    packed = (packed & ~(0b11 << position)) | (
+                        descriptor.value << position
+                    )
                     out = table[packed]
-                else:
-                    behavior = descriptor.behavior
-                    if behavior is Behavior.FORCE_OUTPUT:
-                        out = descriptor.value
-                    elif behavior is Behavior.FORCE_INPUT:
-                        position = 2 * descriptor.pin
-                        packed = (packed & ~(0b11 << position)) | (
-                            descriptor.value << position
-                        )
-                        out = table[packed]
-                    elif behavior is Behavior.TABLE:
-                        out = descriptor.table[packed]
-                    else:  # TRANSITION: rare site path, via the list hook
-                        inputs = list(unpack_inputs(packed, len(fanin)))
-                        out = self._transition_output(descriptor, gate, inputs)
-                        packed = pack_inputs(inputs)
-                before = vis_here.get(fid, old_good)
-                if out != new_good:
-                    if invis_here.pop(fid, None) is not None:
-                        self._live_elements -= 1
-                    self._store(vis, gate_index, fid, out)
-                elif packed != good_packed:
-                    # Same output, different state: invisible element.
-                    if vis_here.pop(fid, None) is not None:
-                        self._live_elements -= 1
-                    self._store(self.invis, gate_index, fid, out)
-                else:
-                    self._remove(gate_index, fid)
-                if before != out:
-                    fault_event = True
-        else:
-            good_inputs = [good[source] for source in fanin]
-            new_good = self._good_output(gate, good_inputs)
-            good[gate_index] = new_good
-            candidates = self._candidates(gate_index, fanin)
-            if trace is not None and candidates:
-                trace.fault_evals(gate_index, len(candidates))
-            for fid in candidates:
-                descriptor = descriptors[fid]
-                inputs = [vis[source].get(fid, good[source]) for source in fanin]
-                counters.fault_evaluations += 1
-                out = self._faulty_output(descriptor, gate, gate_index, inputs)
-                before = vis_here.get(fid, old_good)
-                if out != new_good:
-                    if invis_here.pop(fid, None) is not None:
-                        self._live_elements -= 1
-                    self._store(vis, gate_index, fid, out)
-                elif inputs != good_inputs:
-                    if vis_here.pop(fid, None) is not None:
-                        self._live_elements -= 1
-                    self._store(self.invis, gate_index, fid, out)
-                else:
-                    self._remove(gate_index, fid)
-                if before != out:
-                    fault_event = True
+                elif behavior is Behavior.TABLE:
+                    out = descriptor.table[packed]
+                else:  # TRANSITION: rare site path, via the list hook
+                    inputs = list(unpack_inputs(packed, len(fanin)))
+                    out = self._transition_output(descriptor, gate, inputs)
+                    packed = pack_inputs(inputs)
+            visible = fid in vis_here
+            before = vis_here[fid] if visible else old_good
+            if out != new_good:
+                if fid in invis_here:
+                    del invis_here[fid]
+                    live -= 1
+                if not visible:
+                    live += 1
+                    if trace is not None:
+                        trace.diverge(gate_index, fid, True)
+                vis_here[fid] = out
+            elif packed != good_packed:
+                # Same output, different state: invisible element.
+                if visible:
+                    del vis_here[fid]
+                    live -= 1
+                if fid not in invis_here:
+                    live += 1
+                    if trace is not None:
+                        trace.diverge(gate_index, fid, False)
+                invis_here[fid] = out
+            else:
+                removed = visible
+                if visible:
+                    del vis_here[fid]
+                    live -= 1
+                if fid in invis_here:
+                    del invis_here[fid]
+                    live -= 1
+                    removed = True
+                if removed and trace is not None:
+                    trace.converge(gate_index, fid)
+            if before != out:
+                fault_event = True
+        self._live_elements = live
 
         if new_good != old_good or fault_event:
             self._emit_event(gate_index)
@@ -889,35 +870,16 @@ class ConcurrentFaultSimulator:
             old_q = good[ff_index]
             new_q = good[d_source]
             vis_here = self.vis[ff_index]
-            candidates = self._scratch_candidates
-            candidates.clear()
-            purge = self._scratch_purge
-            purge.clear()
-
-            bucket = self.vis[d_source]
-            if bucket:
-                self._scan_bucket(d_source, bucket, candidates, purge, drop)
-            if not split:
-                bucket = self.invis[d_source]
-                if bucket:
-                    self._scan_bucket(d_source, bucket, candidates, purge, drop)
-            if vis_here:
-                self._scan_bucket(ff_index, vis_here, candidates, purge, drop)
-            for fid in self.local_faults[ff_index]:
-                if drop and descriptors[fid].detected:
-                    continue
-                candidates[fid] = True
-            for source, fid in purge:
-                self._remove(source, fid)
-
+            candidates = self._gather(ff_index, gate.fanin)
             updates: List[Tuple[int, int, bool]] = []
             event = new_q != old_q
-            if trace is not None and candidates:
-                trace.fault_evals(ff_index, len(candidates))
-            for fid in candidates:
+            if candidates:
+                self.counters.fault_evaluations += len(candidates)
+                if trace is not None:
+                    trace.fault_evals(ff_index, len(candidates))
+            for fid, delta in candidates.items():
                 descriptor = descriptors[fid]
-                q_fault = self.vis[d_source].get(fid, new_q)
-                self.counters.fault_evaluations += 1
+                q_fault = new_q ^ delta
                 if descriptor.site_gate == ff_index:
                     if descriptor.behavior is Behavior.FORCE_OUTPUT:
                         q_fault = descriptor.value

@@ -69,7 +69,7 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
     def _default_universe(self, circuit: Circuit) -> List[TransitionFault]:
         return all_transition_faults(circuit)
 
-    def _make_descriptor(self, fid: int, fault: TransitionFault) -> FaultDescriptor:
+    def _make_descriptor(self, fid: int, fault: TransitionFault, tables=None) -> FaultDescriptor:
         return FaultDescriptor(
             fid=fid,
             fault=fault,
