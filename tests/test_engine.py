@@ -146,6 +146,30 @@ class TestSplitLists:
         assert split.counters.element_visits <= merged.counters.element_visits
 
 
+class TestWideGates:
+    @pytest.mark.parametrize("options", [CSIM, CSIM_V, CSIM_MV], ids=["csim", "csim-V", "csim-MV"])
+    def test_gate_wider_than_the_table_bound_matches_serial(self, options):
+        """An 8-input gate has no packed table: the engine evaluates its
+        unpacked word, with every fault on it, as the serial oracle does."""
+        from repro.baselines.serial import simulate_serial
+        from repro.faults.universe import all_stuck_at_faults
+
+        builder = CircuitBuilder("wide")
+        names = [f"i{index}" for index in range(7)]
+        for name in names:
+            builder.add_input(name)
+        builder.add_dff("q", "w")
+        builder.add_gate("w", GateType.NAND, names + ["q"])
+        builder.add_gate("o", GateType.XOR, ["w", "i0"])
+        builder.set_output("o")
+        circuit = builder.build()
+        faults = all_stuck_at_faults(circuit)
+        tests = random_sequence(circuit, 40, seed=4, x_probability=0.1)
+        result = ConcurrentFaultSimulator(circuit, faults, options=options).run(tests)
+        assert result.detected == simulate_serial(circuit, tests.vectors, faults).detected
+        assert result.detected
+
+
 class TestMemoryAccounting:
     def test_live_count_matches_lists(self, s27, s27_tests):
         faults = stuck_at_universe(s27)
