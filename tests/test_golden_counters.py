@@ -1,4 +1,4 @@
-"""Golden work counters of the concurrent engines.
+"""Golden work counters of the concurrent engines, PROOFS and vsim.
 
 The digests in ``golden/results.json`` pin what an engine answers; this
 file pins how much work it does to get there.  ``golden/counters.json``
@@ -7,7 +7,8 @@ runs on s27, s298 and s526, each over 64 random vectors:
 
 * csim, csim-V, csim-M and csim-MV in detect mode (fault dropping);
 * csim-MV in record mode (dictionary building, no dropping);
-* csim-TV on the transition-fault universe.
+* csim-TV on the transition-fault universe;
+* PROOFS and vsim in detect and record mode.
 
 The counters are deterministic, so a rewrite of the engine's inner loops
 that changes how many gates, fault machines or list elements it touches
@@ -45,6 +46,10 @@ RUNS = (
     ("csim-MV/detect", "csim-MV", "detect"),
     ("csim-MV/record", "csim-MV", "record"),
     ("csim-TV/transition", "csim-TV", "transition"),
+    ("PROOFS/detect", "PROOFS", "detect"),
+    ("PROOFS/record", "PROOFS", "record"),
+    ("vsim/detect", "vsim", "detect"),
+    ("vsim/record", "vsim", "record"),
 )
 
 
