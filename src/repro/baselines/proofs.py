@@ -362,7 +362,11 @@ class ProofsSimulator:
                 slot = (potential & -potential).bit_length() - 1
                 potential &= potential - 1
                 fault = group[slot]
-                if fault not in self.potentially_detected:
+                # No potential after a hard detection in an earlier cycle.
+                if (
+                    fault not in self.potentially_detected
+                    and self.detected.get(fault, self.cycle) == self.cycle
+                ):
                     self.potentially_detected[fault] = self.cycle
                     if trace is not None:
                         trace.detect(self._fault_ids[fault], self.cycle, potential=True)

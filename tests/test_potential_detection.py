@@ -7,13 +7,16 @@ the convention that potentials are recorded up to (and including) the
 cycle of hard detection.
 """
 
+import functools
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.baselines.proofs import ProofsSimulator
 from repro.baselines.serial import simulate_serial, simulate_serial_transition
 from repro.circuit.generate import random_circuit
+from repro.circuit.library import load
 from repro.circuit.netlist import CircuitBuilder
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import CSIM, CSIM_MV, CSIM_V, SimOptions
@@ -21,10 +24,12 @@ from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import stuck_at_universe
+from repro.harness.runner import run_stuck_at
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, X, ZERO
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import TestSequence
+from repro.serve.cache import serialize_result
 
 
 def xor_with_ff():
@@ -128,3 +133,34 @@ class TestCrossEngineAgreement:
         for fault, cycle in dropped.potentially_detected.items():
             if fault in dropped.detected:
                 assert cycle <= dropped.detected[fault]
+
+
+class TestRecordModeMatchesOracle:
+    """Record mode (no dropping) reports the potentials a dropping run
+    reports: a fault hard-detected in an earlier cycle gains none."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _references(name):
+        """The serial oracle's and csim-MV's record-mode runs on *name*."""
+        circuit = load(name)
+        faults = stuck_at_universe(circuit)
+        tests = random_sequence(circuit, 32, seed=16)
+        oracle = simulate_serial(
+            circuit, tests.vectors, faults, record_responses=True
+        )
+        csim = run_stuck_at(
+            circuit, tests, "csim-MV", faults=faults, record_responses=True
+        )
+        return circuit, faults, tests, oracle, csim
+
+    @pytest.mark.parametrize("engine", ["PROOFS", "vsim"])
+    @pytest.mark.parametrize("name", ["s298", "s386"])
+    def test_record_potentials_match_serial_oracle(self, name, engine):
+        circuit, faults, tests, oracle, csim = self._references(name)
+        result = run_stuck_at(
+            circuit, tests, engine, faults=faults, record_responses=True
+        )
+        assert result.potentially_detected == oracle.potentially_detected
+        relabelled = replace(result, engine=csim.engine)
+        assert serialize_result(relabelled, circuit) == serialize_result(csim, circuit)

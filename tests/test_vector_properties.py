@@ -12,7 +12,8 @@
 3. Windows are invisible in the results too: in detect mode and in
    record mode (dictionary building, no dropping), at any checkpoint
    cadence the drive loop clips windows to, vsim reproduces the PROOFS
-   per-cycle loop's responses, detections and potential detections.
+   per-cycle loop's responses, detections and potential detections, and
+   both report the serial oracle's potential detections.
 """
 
 import random
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tests.conftest import make_circuit
 
 from repro.baselines.proofs import ProofsSimulator
+from repro.baselines.serial import simulate_serial
 from repro.circuit.generate import random_circuit
 from repro.drive import drive
 from repro.faults.universe import all_stuck_at_faults
@@ -138,6 +140,10 @@ class TestWindowsMatchProofs:
         circuit, tests, width = instance
         faults = all_stuck_at_faults(circuit)
         reference = ProofsSimulator(circuit, faults, record_responses=record).run(tests)
+        oracle = simulate_serial(
+            circuit, tests.vectors, faults, record_responses=record
+        )
+        assert reference.potentially_detected == oracle.potentially_detected
         numpy_paths = (False, True) if (
             plane.available() and width <= plane.MAX_PLANE_WIDTH
         ) else (False,)
