@@ -6,24 +6,13 @@
 * :mod:`repro.baselines.proofs` — a reimplementation of the PROOFS
   algorithm (Niermann, Cheng & Patel, DAC 1990), the comparison point of
   the paper's Tables 3-5.
-* :mod:`repro.baselines.deductive` — classic deductive fault simulation
-  (Armstrong 1972) for combinational circuits, the historical method whose
-  simplicity the paper's data structure borrows.
-* :mod:`repro.baselines.cpt` — critical path tracing with exact stem
-  analysis (the related-work approach of the paper's references [4]/[7]).
 """
 
 from repro.baselines.serial import simulate_serial, simulate_serial_transition
 from repro.baselines.proofs import ProofsSimulator
-from repro.baselines.deductive import deductive_detects, simulate_deductive
-from repro.baselines.cpt import cpt_detects, simulate_cpt
 
 __all__ = [
     "simulate_serial",
     "simulate_serial_transition",
     "ProofsSimulator",
-    "deductive_detects",
-    "simulate_deductive",
-    "cpt_detects",
-    "simulate_cpt",
 ]

@@ -5,16 +5,6 @@ from repro.patterns.vectors import TestSequence, parse_vectors, format_vectors
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.compaction import greedy_compact_tests
 from repro.patterns.atpg import generate_tests
-from repro.patterns.postprocess import (
-    compact_tests,
-    remove_redundant_blocks,
-    trim_to_coverage_prefix,
-)
-from repro.patterns.podem import (
-    PodemResult,
-    generate_deterministic_tests,
-    podem,
-)
 
 __all__ = [
     "TestSequence",
@@ -23,10 +13,4 @@ __all__ = [
     "random_sequence",
     "greedy_compact_tests",
     "generate_tests",
-    "compact_tests",
-    "remove_redundant_blocks",
-    "trim_to_coverage_prefix",
-    "PodemResult",
-    "generate_deterministic_tests",
-    "podem",
 ]

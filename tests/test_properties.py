@@ -16,7 +16,7 @@ from repro.circuit.macro import extract_macros
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import CSIM, CSIM_MV, CSIM_V
 from repro.faults.universe import all_stuck_at_faults
-from repro.logic.values import ONE, VALUES, X, ZERO
+from repro.logic.values import VALUES
 from repro.patterns.vectors import TestSequence
 from repro.sim.logicsim import LogicSimulator
 
@@ -129,34 +129,3 @@ class TestEngineInvariants:
             sim.step(vector)
             # Post-clock states must coincide gate for gate.
             assert sim.good == reference.values
-
-
-class TestPodemProperties:
-    @SLOW
-    @given(st.integers(0, 2**16))
-    def test_podem_vectors_detect_their_targets(self, seed):
-        """Any fault PODEM claims testable is detected by its vector, and
-        any fault it proves redundant is never detected by random probing."""
-        import random as random_module
-
-        from repro.baselines.deductive import deductive_detects
-        from repro.faults.universe import stuck_at_universe
-        from repro.patterns.podem import podem
-
-        rng = random_module.Random(seed)
-        circuit = random_circuit(
-            rng, num_inputs=rng.randint(2, 4), num_gates=rng.randint(4, 12),
-            num_dffs=0, name=f"podhyp{seed}",
-        )
-        faults = stuck_at_universe(circuit)
-        for fault in faults[:: max(1, len(faults) // 6)]:
-            result = podem(circuit, fault)
-            if result.detected:
-                vector = tuple(ZERO if v == X else v for v in result.vector)
-                assert fault in deductive_detects(circuit, vector, [fault])
-            elif result.redundant:
-                for _ in range(8):
-                    probe = tuple(
-                        rng.choice((ZERO, ONE)) for _ in circuit.inputs
-                    )
-                    assert fault not in deductive_detects(circuit, probe, [fault])
