@@ -95,7 +95,7 @@ def simulate_serial(
     truncation_reason = None
     for fid, fault in enumerate(fault_list):
         if clock is not None:
-            breach = clock.check(0, 0)  # wall clock is the only serial axis
+            breach = clock.check(0)  # wall clock is the only serial axis
             if breach is not None:
                 truncation_reason = breach.describe()
                 if trace is not None:

@@ -189,32 +189,17 @@ def _add_robust_args(parser: argparse.ArgumentParser) -> None:
         help="cycles between periodic checkpoint writes (default 64)",
     )
     parser.add_argument(
-        "--max-seconds",
-        type=float,
-        metavar="S",
-        help="wall-clock budget; a breached run stops cleanly, flagged truncated",
-    )
-    parser.add_argument(
-        "--max-cycles", type=int, metavar="N", help="clock-cycle budget"
-    )
-    parser.add_argument(
-        "--max-memory-mb",
-        type=float,
-        metavar="MB",
-        help="modelled fault-element memory budget",
+        "--max-cycles",
+        type=int,
+        metavar="N",
+        help="clock-cycle budget; a breached run stops cleanly, flagged truncated",
     )
 
 
 def _make_budget(args) -> Optional[Budget]:
-    if not (args.max_seconds or args.max_cycles or args.max_memory_mb):
+    if not args.max_cycles:
         return None
-    return Budget(
-        max_wall_seconds=args.max_seconds,
-        max_cycles=args.max_cycles,
-        max_memory_bytes=(
-            int(args.max_memory_mb * 2**20) if args.max_memory_mb else None
-        ),
-    )
+    return Budget(max_cycles=args.max_cycles)
 
 
 def _check_robust_args(args) -> None:
@@ -414,11 +399,6 @@ def cmd_simulate(args) -> int:
         f"simulate {circuit.name}", engine=args.engine, jobs=args.jobs
     )
     print(result.summary())
-    if args.verbose:
-        from repro.faults.model import fault_name
-
-        for fault, cycle in sorted(result.detected.items(), key=lambda kv: kv[1]):
-            print(f"  cycle {cycle:5}: {fault_name(circuit, fault)}")
     _emit_observability(args, result, circuit, tracer)
     return 0
 
@@ -470,13 +450,11 @@ def _build_dictionary_blob(args, circuit, tests) -> bytes:
     from repro.diagnosis import build_responses
     from repro.diagnosis.store import encode_dictionary
 
-    collapse = None if args.no_collapse else "equivalence"
     responses = build_responses(
         circuit,
         tests,
         kind=args.kind,
         engine=args.engine,
-        collapse=collapse,
         jobs=args.jobs,
         shard_strategy=args.shard_strategy,
         checkpoint_path=args.checkpoint,
@@ -486,7 +464,7 @@ def _build_dictionary_blob(args, circuit, tests) -> bytes:
         word_width=_checked_word_width(args),
     )
     return encode_dictionary(
-        circuit.name, len(tests), responses, args.kind, collapse=collapse
+        circuit.name, len(tests), responses, args.kind, collapse="equivalence"
     )
 
 
@@ -588,7 +566,6 @@ def cmd_serve(args) -> int:
     import threading
 
     from repro.serve import FaultSimService, ServeConfig, make_server
-    from repro.serve.api import ServeHandler
 
     state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-serve-")
     config = ServeConfig(
@@ -616,8 +593,6 @@ def cmd_serve(args) -> int:
             )
     service.start()
     server = make_server(service, host=args.host, port=args.port)
-    if args.verbose:
-        ServeHandler.verbose = True
 
     def _drain_then_shutdown() -> None:
         service.begin_drain()
@@ -660,7 +635,6 @@ def cmd_inspect(args) -> int:
             trace_id=args.trace_id,
             flamegraph=args.flamegraph,
             top_k=args.top,
-            columns=args.columns,
         )
     )
     return 0
@@ -753,9 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a power of two >= 8 (default 64)",
     )
     simulate.add_argument(
-        "--verbose", action="store_true", help="list detections with cycles"
-    )
-    simulate.add_argument(
         "--ladder",
         action="store_true",
         help="run the engine ladder: audit the result against the serial "
@@ -803,12 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="machines packed per word for the word engines "
             "(PROOFS/vsim): a power of two >= 8 (default 64)",
-        )
-        sub.add_argument(
-            "--no-collapse",
-            action="store_true",
-            help="simulate the full universe verbatim instead of "
-            "equivalence representatives (bit-identical, just slower)",
         )
 
     build_dict = commands.add_parser(
@@ -902,13 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         metavar="K",
         help="gates in the churn ranking (default 10)",
-    )
-    inspect.add_argument(
-        "--columns",
-        type=int,
-        default=48,
-        metavar="N",
-        help="timeline bar width in characters (default 48)",
     )
     inspect.set_defaults(handler=cmd_inspect)
 
@@ -1028,9 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="seconds SIGTERM waits for in-flight batches before exiting "
         "(default 30)",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request to stderr"
     )
     serve.set_defaults(handler=cmd_serve)
 

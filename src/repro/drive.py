@@ -66,9 +66,7 @@ def drive(
                 save(position)
                 raise KeyboardInterrupt
             if clock is not None:
-                breach = clock.check(
-                    simulator.counters.cycles, simulator.memory.peak_bytes
-                )
+                breach = clock.check(simulator.counters.cycles)
                 if breach is not None:
                     truncation_reason = breach.describe()
                     if trace is not None:

@@ -45,8 +45,13 @@ def load_sidecar(trace_dir: str, stem: str, trace_id: Optional[str]) -> Optional
     return None
 
 
-def _bar(offset: float, width: float, columns: int) -> str:
+#: Width of a timeline bar in characters.
+TIMELINE_COLUMNS = 48
+
+
+def _bar(offset: float, width: float) -> str:
     """A timeline bar: *offset* and *width* are fractions of the trace."""
+    columns = TIMELINE_COLUMNS
     start = min(columns - 1, int(offset * columns))
     length = max(1, int(width * columns))
     length = min(length, columns - start)
@@ -64,7 +69,7 @@ def _attr_summary(attrs: Dict[str, object]) -> str:
     return " ".join(parts)
 
 
-def render_timeline(roots: List[SpanNode], columns: int = 48) -> str:
+def render_timeline(roots: List[SpanNode]) -> str:
     """The stitched span tree as an indented, bar-annotated timeline."""
     if not roots:
         return "(no spans)"
@@ -81,7 +86,7 @@ def render_timeline(roots: List[SpanNode], columns: int = 48) -> str:
     for root in roots:
         for node, depth in root.walk():
             label = ("  " * depth + node.name)[:30]
-            bar = _bar((node.start - t0) / total, node.duration / total, columns)
+            bar = _bar((node.start - t0) / total, node.duration / total)
             extra = _attr_summary(node.attrs)
             lines.append(
                 f"  {label:<30} |{bar}| {node.duration * 1000:8.2f} ms"
@@ -168,7 +173,6 @@ def inspect_trace(
     trace_id: Optional[str] = None,
     flamegraph: Optional[str] = None,
     top_k: int = 10,
-    columns: int = 48,
 ) -> str:
     """The full ``repro inspect`` report for one trace directory."""
     spans = read_spans(trace_dir)
@@ -190,7 +194,7 @@ def inspect_trace(
             "manifest: "
             + " ".join(f"{key}={manifest[key]}" for key in sorted(manifest))
         )
-    sections.append(render_timeline(roots, columns=columns))
+    sections.append(render_timeline(roots))
     sections.append(shard_balance_table(roots))
     sections.append(
         top_gates_report(load_sidecar(trace_dir, "telemetry", resolved_id), top_k)

@@ -1,17 +1,15 @@
 """Run budgets and the watchdog the engine drive loop consults.
 
-A :class:`Budget` bounds one simulation run along three axes — wall-clock
-seconds, clock cycles, and modelled fault-element memory (the
-:class:`repro.result.MemoryStats` peak, i.e. the paper's units, not Python
-heap bytes).  :func:`repro.drive.drive` checks it between engine advances
-(a cycle, or one vsim window) and clips every advance at a cycle budget;
-on a breach the run stops *cleanly*: the partial
+A :class:`Budget` bounds one simulation run along two axes — wall-clock
+seconds and clock cycles.  :func:`repro.drive.drive` checks it between
+engine advances (a cycle, or one vsim window) and clips every advance at
+a cycle budget; on a breach the run stops *cleanly*: the partial
 :class:`repro.result.FaultSimResult` comes back with ``truncated=True`` and
 a human-readable ``truncation_reason``, and the breach is reported through
 the run's :class:`repro.obs.Tracer` (``budget_breach`` hook).
 
-A cycle budget is exact.  A wall-clock or memory breach is noticed at the
-next advance boundary, so one cycle (or window) may overshoot, but no
+A cycle budget is exact.  A wall-clock breach is noticed at the next
+advance boundary, so one cycle (or window) may overshoot, but no
 partial state ever leaks into the result.
 """
 
@@ -26,19 +24,14 @@ from typing import Optional
 class BudgetBreach:
     """One exceeded limit: which axis, the limit, and the observed value."""
 
-    kind: str  # "wall" | "cycles" | "memory"
+    kind: str  # "wall" | "cycles"
     limit: float
     actual: float
 
     def describe(self) -> str:
         if self.kind == "wall":
             return f"wall-clock budget exceeded ({self.actual:.3f}s > {self.limit:.3f}s)"
-        if self.kind == "cycles":
-            return f"cycle budget exceeded ({int(self.actual)} >= {int(self.limit)})"
-        return (
-            f"memory budget exceeded ({int(self.actual)} > {int(self.limit)} "
-            f"modelled bytes)"
-        )
+        return f"cycle budget exceeded ({int(self.actual)} >= {int(self.limit)})"
 
 
 @dataclass(frozen=True)
@@ -47,13 +40,9 @@ class Budget:
 
     max_wall_seconds: Optional[float] = None
     max_cycles: Optional[int] = None
-    max_memory_bytes: Optional[int] = None
 
     def __bool__(self) -> bool:
-        return any(
-            limit is not None
-            for limit in (self.max_wall_seconds, self.max_cycles, self.max_memory_bytes)
-        )
+        return self.max_wall_seconds is not None or self.max_cycles is not None
 
     def start(self) -> "BudgetClock":
         """Arm the budget against the current wall clock."""
@@ -63,7 +52,6 @@ class Budget:
         self,
         max_wall_seconds: Optional[float] = None,
         max_cycles: Optional[int] = None,
-        max_memory_bytes: Optional[int] = None,
     ) -> "Budget":
         """This budget with each given axis tightened to the smaller limit.
 
@@ -83,9 +71,6 @@ class Budget:
         return Budget(
             max_wall_seconds=_min(self.max_wall_seconds, max_wall_seconds),
             max_cycles=_min(self.max_cycles, max_cycles),  # type: ignore[arg-type]
-            max_memory_bytes=_min(  # type: ignore[arg-type]
-                self.max_memory_bytes, max_memory_bytes
-            ),
         )
 
 
@@ -96,18 +81,15 @@ class BudgetClock:
         self.budget = budget
         self.started = started
 
-    def check(self, cycles_done: int, memory_bytes: int) -> Optional[BudgetBreach]:
+    def check(self, cycles_done: int) -> Optional[BudgetBreach]:
         """The first breached limit, or None while everything is in budget.
 
         ``cycles_done`` counts cycles already simulated (so ``max_cycles=n``
-        admits exactly *n* cycles); ``memory_bytes`` is the engine's current
-        modelled peak.
+        admits exactly *n* cycles).
         """
         budget = self.budget
         if budget.max_cycles is not None and cycles_done >= budget.max_cycles:
             return BudgetBreach("cycles", budget.max_cycles, cycles_done)
-        if budget.max_memory_bytes is not None and memory_bytes > budget.max_memory_bytes:
-            return BudgetBreach("memory", budget.max_memory_bytes, memory_bytes)
         if budget.max_wall_seconds is not None:
             elapsed = time.perf_counter() - self.started
             if elapsed > budget.max_wall_seconds:

@@ -67,8 +67,6 @@ class ServeHandler(BaseHTTPRequestHandler):
     server: ServeHTTPServer
 
     protocol_version = "HTTP/1.1"
-    #: Set True (e.g. by the CLI's --verbose) to log requests to stderr.
-    verbose = False
 
     @property
     def service(self) -> FaultSimService:
@@ -77,8 +75,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     # -- plumbing -------------------------------------------------------
 
     def log_message(self, format: str, *args: object) -> None:
-        if self.verbose:
-            super().log_message(format, *args)
+        """Stay silent: requests are not logged."""
 
     def _send(
         self,

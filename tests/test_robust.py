@@ -133,13 +133,6 @@ class TestBudget:
         assert "wall-clock budget" in result.truncation_reason
         assert result.num_vectors == 0
 
-    def test_memory_budget_truncates(self, s27, s27_tests):
-        result = run_stuck_at(
-            s27, s27_tests, "csim-MV", budget=Budget(max_memory_bytes=1)
-        )
-        assert result.truncated
-        assert "memory budget" in result.truncation_reason
-
     def test_unbreached_budget_changes_nothing(self, s27, s27_tests):
         plain = run_stuck_at(s27, s27_tests, "csim-MV")
         budgeted = run_stuck_at(
@@ -177,7 +170,6 @@ class TestBudget:
     def test_breach_describe(self):
         assert "wall-clock" in BudgetBreach("wall", 1.0, 2.0).describe()
         assert "cycle" in BudgetBreach("cycles", 5, 5).describe()
-        assert "memory" in BudgetBreach("memory", 10, 20).describe()
 
     @pytest.mark.parametrize("path", ["direct", "checkpointed", "jobs=2"])
     def test_cycle_budget_is_exact_for_every_engine(self, path, tmp_path):
