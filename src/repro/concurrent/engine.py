@@ -442,55 +442,44 @@ class ConcurrentFaultSimulator:
                 self._schedule(gate_index)
         self._next_cycle_gates = set()
 
-        if trace is None:
-            for position, pi_index in enumerate(circuit.inputs):
-                self._apply_source(pi_index, vector[position])
-            self._settle()
-            if sanitizer is not None:
-                sanitizer.check("settle")
-            self.memory.note_elements(self._live_elements)
-            newly_detected = self._detect()
-            if sanitizer is not None:
-                sanitizer.check("detect")
-            self._clock()
-            if sanitizer is not None:
-                sanitizer.check("clock")
-            self.memory.note_elements(self._live_elements)
-            return newly_detected
-
-        # Traced path: identical work, wrapped in per-phase timers.
-        t0 = time.perf_counter()
+        if trace is not None:
+            t0 = time.perf_counter()
         for position, pi_index in enumerate(circuit.inputs):
             self._apply_source(pi_index, vector[position])
-        t1 = time.perf_counter()
-        trace.phase_time("apply", t1 - t0)
+        if trace is not None:
+            t1 = time.perf_counter()
+            trace.phase_time("apply", t1 - t0)
         self._settle()
         if sanitizer is not None:
             sanitizer.check("settle")
-        t2 = time.perf_counter()
-        trace.phase_time("settle", t2 - t1)
+        if trace is not None:
+            t2 = time.perf_counter()
+            trace.phase_time("settle", t2 - t1)
         self.memory.note_elements(self._live_elements)
         newly_detected = self._detect()
         if sanitizer is not None:
             sanitizer.check("detect")
-        t3 = time.perf_counter()
-        trace.phase_time("detect", t3 - t2)
+        if trace is not None:
+            t3 = time.perf_counter()
+            trace.phase_time("detect", t3 - t2)
         self._clock()
         if sanitizer is not None:
             sanitizer.check("clock")
-        trace.phase_time("clock", time.perf_counter() - t3)
+        if trace is not None:
+            trace.phase_time("clock", time.perf_counter() - t3)
         self.memory.note_elements(self._live_elements)
-        if trace.enabled:
-            visible = sum(map(len, self.vis))
-            invisible = sum(map(len, self.invis))
-        else:
-            visible = invisible = 0
-        trace.cycle_end(
-            self.cycle,
-            live=self._live_elements,
-            visible=visible,
-            invisible=invisible,
-        )
+        if trace is not None:
+            if trace.enabled:
+                visible = sum(map(len, self.vis))
+                invisible = sum(map(len, self.invis))
+            else:
+                visible = invisible = 0
+            trace.cycle_end(
+                self.cycle,
+                live=self._live_elements,
+                visible=visible,
+                invisible=invisible,
+            )
         return newly_detected
 
     @property

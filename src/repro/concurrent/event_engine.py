@@ -493,32 +493,28 @@ class ConcurrentEventFaultSimulator:
         self.cycle += 1
         self.counters.cycles += 1
         trace = self.tracer
-        if trace is None:
-            self._power_up()
-            self._apply_vector(vector)
-            self._run(until=self.time + period)
-            self.memory.note_elements(self._live)
-            newly = self._strobe()
-            self._latch()
-            return newly
-
-        trace.cycle_start(self.cycle)
-        t0 = time_module.perf_counter()
+        if trace is not None:
+            trace.cycle_start(self.cycle)
+            t0 = time_module.perf_counter()
         self._power_up()
         self._apply_vector(vector)
-        t1 = time_module.perf_counter()
-        trace.phase_time("apply", t1 - t0)
+        if trace is not None:
+            t1 = time_module.perf_counter()
+            trace.phase_time("apply", t1 - t0)
         self._run(until=self.time + period)
-        t2 = time_module.perf_counter()
-        trace.phase_time("settle", t2 - t1)
+        if trace is not None:
+            t2 = time_module.perf_counter()
+            trace.phase_time("settle", t2 - t1)
         self.memory.note_elements(self._live)
         newly = self._strobe()
-        t3 = time_module.perf_counter()
-        trace.phase_time("strobe", t3 - t2)
+        if trace is not None:
+            t3 = time_module.perf_counter()
+            trace.phase_time("strobe", t3 - t2)
         self._latch()
-        trace.phase_time("latch", time_module.perf_counter() - t3)
-        visible = sum(map(len, self.vis)) if trace.enabled else 0
-        trace.cycle_end(self.cycle, live=self._live, visible=visible, invisible=0)
+        if trace is not None:
+            trace.phase_time("latch", time_module.perf_counter() - t3)
+            visible = sum(map(len, self.vis)) if trace.enabled else 0
+            trace.cycle_end(self.cycle, live=self._live, visible=visible, invisible=0)
         return newly
 
     def advance(self, vectors: Iterator[Sequence[int]], limit: int) -> int:
