@@ -4,9 +4,9 @@ harness integration, checkpointing, and the ladder's fast rung.
 The pattern-parallel kernel reuses the serial-oracle cross-validation
 discipline of every other engine, plus vector-specific invariants: word
 width and axis choice never change detection outcomes, the numpy plane
-is bit-identical to the scalar word path (sub-plane eviction included),
-and a failing ``vsim`` rung degrades to ``csim-MV`` under the ladder's
-serial-oracle audit.
+is bit-identical to the scalar word path (window by window and fault by
+fault, its fused dual-rail step gate by gate), and a failing ``vsim``
+rung degrades to ``csim-MV`` under the ladder's serial-oracle audit.
 """
 
 import random
@@ -16,6 +16,7 @@ import pytest
 from tests.conftest import make_circuit
 
 from repro.baselines.serial import simulate_serial
+from repro.circuit.netlist import CircuitBuilder
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import (
     ENGINE_NAMES,
@@ -260,18 +261,6 @@ class TestCrossValidation:
         assert wide.use_numpy is False
 
     @needs_numpy
-    def test_sub_plane_eviction_is_exact(self, monkeypatch):
-        """Force the divergent-row eviction path on every fix-up pass."""
-        monkeypatch.setattr(plane, "EVICT_AFTER_PASSES", 1)
-        for seed in (2, 4, 6):
-            circuit, faults, tests = _instance(seed, num_dffs=4,
-                                               num_gates=25)
-            reference = run_stuck_at(circuit, tests, "csim-MV", faults)
-            result = _run_vsim(circuit, faults, tests, word_width=16,
-                               axis_mode="pattern", use_numpy=True)
-            _assert_identical(reference, result, f"seed={seed}")
-
-    @needs_numpy
     def test_feedback_heavy_circuit_on_plane(self):
         from repro.circuit.library import load
 
@@ -282,6 +271,121 @@ class TestCrossValidation:
         result = _run_vsim(circuit, faults, tests, word_width=64,
                            axis_mode="pattern", use_numpy=True)
         _assert_identical(reference, result)
+
+
+def _one_level_circuit():
+    """Every fused-step gate shape in one level over eight inputs.
+
+    AND, NAND, OR, NOR, XOR and XNOR at arity 1-4 and 8, plus BUF and NOT,
+    each reading a different rotation of the inputs.
+    """
+    builder = CircuitBuilder("one-level")
+    for pin in range(8):
+        builder.add_input(f"i{pin}")
+    shapes = [
+        (gtype, arity)
+        for gtype in (GateType.AND, GateType.NAND, GateType.OR,
+                      GateType.NOR, GateType.XOR, GateType.XNOR)
+        for arity in (1, 2, 3, 4, 8)
+    ] + [(GateType.BUF, 1), (GateType.NOT, 1)]
+    for number, (gtype, arity) in enumerate(shapes):
+        name = f"g{number}_{gtype.name}{arity}"
+        builder.add_gate(
+            name, gtype, [f"i{(number + pin) % 8}" for pin in range(arity)]
+        )
+        builder.set_output(name)
+    return builder.build()
+
+
+def _constant_circuit():
+    """Constant gates feeding logic, a flip-flop and an output."""
+    builder = CircuitBuilder("constants")
+    builder.add_input("a")
+    builder.add_input("b")
+    builder.add_gate("one", GateType.CONST1, [])
+    builder.add_gate("zero", GateType.CONST0, [])
+    builder.add_dff("q", "d")
+    builder.add_gate("n1", GateType.AND, ["a", "one", "q"])
+    builder.add_gate("n2", GateType.OR, ["b", "zero"])
+    builder.add_gate("d", GateType.XOR, ["n1", "n2", "one"])
+    builder.add_gate("z", GateType.NOR, ["d", "zero"])
+    builder.set_output("z")
+    builder.set_output("q")
+    builder.set_output("one")
+    return builder.build()
+
+
+@needs_numpy
+class TestPlane:
+    def test_fused_step_matches_evaluate_gate_word(self):
+        """One sweep over words holding all 3^k input combinations."""
+        import numpy
+
+        circuit = _one_level_circuit()
+        plan = plane._build_plan(circuit)
+        assert len({gate.level for gate in circuit.combinational}) == 1
+        assert [step.xor for step in plan.steps] == [False, True]
+        combos = 3 ** len(circuit.inputs)
+        columns = -(-combos // 64)
+        words = {index: [] for index in circuit.inputs}
+        masks = []
+        for column in range(columns):
+            slots = range(column * 64, min(combos, column * 64 + 64))
+            masks.append((1 << len(slots)) - 1)
+            for digit, index in enumerate(circuit.inputs):
+                words[index].append(
+                    pack_values([combo // 3 ** digit % 3 for combo in slots])
+                )
+        rows = numpy.zeros((plan.rows, columns), dtype=numpy.uint64)
+        for index, column_words in words.items():
+            for column, (ones, xs) in enumerate(column_words):
+                rows[plan.one_row[index], column] = ones
+                rows[plan.zero_row[index], column] = masks[column] & ~ones & ~xs
+        scratch = numpy.zeros(plan.scratch * columns, dtype=numpy.uint64)
+        plane._sweep(plan, rows, scratch, {})
+        for gate in circuit.combinational:
+            for column, mask in enumerate(masks):
+                operands = [words[source][column] for source in gate.fanin]
+                ones = int(rows[plan.one_row[gate.index], column])
+                zeros = int(rows[plan.zero_row[gate.index], column])
+                assert ones & zeros == 0, gate.name
+                assert (ones, mask & ~ones & ~zeros) == evaluate_gate_word(
+                    gate.gtype, operands, mask
+                ), (gate.name, column)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["detect", "record"])
+    @pytest.mark.parametrize("name,vectors,stride", [
+        ("s526", 128, 1),   # two windows: the second starts from carried diffs
+        ("s1196", 64, 8),   # every 8th fault keeps the scalar reference quick
+        ("constants", 128, 1),
+    ])
+    def test_window_matches_scalar_path(self, monkeypatch, name, vectors,
+                                        stride, record):
+        """Every active fault's window outcome equals the scalar path's."""
+        from repro.circuit.library import load
+
+        circuit = _constant_circuit() if name == "constants" else load(name)
+        faults = stuck_at_universe(circuit)[::stride]
+        tests = random_sequence(circuit, vectors, seed=3)
+        solve = plane.simulate_window
+        windows = []
+
+        def checked(sim, active, snaps, mask, good_word):
+            outcomes = solve(sim, active, snaps, mask, good_word)
+            assert len(outcomes) == len(active)
+            for fault, outcome in zip(active, outcomes):
+                assert outcome == sim._propagate_fault_window(
+                    fault, len(snaps), mask, snaps, good_word
+                ), fault
+            windows.append(len(snaps))
+            return outcomes
+
+        monkeypatch.setattr(plane, "simulate_window", checked)
+        VectorFaultSimulator(
+            circuit, faults, word_width=64, axis_mode="pattern",
+            use_numpy=True, record_responses=record,
+        ).run(tests)
+        assert windows == [64] * (vectors // 64)
 
 
 class TestHarnessIntegration:
