@@ -48,30 +48,16 @@ class Budget:
         """Arm the budget against the current wall clock."""
         return BudgetClock(self, time.perf_counter())
 
-    def tightened(
-        self,
-        max_wall_seconds: Optional[float] = None,
-        max_cycles: Optional[int] = None,
-    ) -> "Budget":
-        """This budget with each given axis tightened to the smaller limit.
+    def tightened(self, max_wall_seconds: float) -> "Budget":
+        """This budget with its wall axis tightened to the smaller limit.
 
         Composes independent caps — a service-wide per-job wall cap and a
         per-submit deadline budget, say — without either silently widening
-        the other: ``None`` arguments leave an axis unchanged, and on each
-        axis the stricter limit wins.
+        the other; the cycle axis is left as it is.
         """
-
-        def _min(a: Optional[float], b: Optional[float]) -> Optional[float]:
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
-
-        return Budget(
-            max_wall_seconds=_min(self.max_wall_seconds, max_wall_seconds),
-            max_cycles=_min(self.max_cycles, max_cycles),  # type: ignore[arg-type]
-        )
+        if self.max_wall_seconds is not None:
+            max_wall_seconds = min(self.max_wall_seconds, max_wall_seconds)
+        return Budget(max_wall_seconds=max_wall_seconds, max_cycles=self.max_cycles)
 
 
 class BudgetClock:

@@ -33,10 +33,10 @@ simulation.  For one fault over a window of ``W`` vectors:
    value is binary and differs binarily) and one *unknown* word (binary
    good, unknown faulty).  The earliest mismatch slot is the
    hard-detection cycle; the earliest unknown slot is the
-   potential-detection cycle, recorded in detect mode only if it does
-   not come after the hard one (the per-cycle engines' record-potentials
-   -before-hard ordering).  Outgoing flip-flop diffs come from the last
-   slot's D words.
+   potential-detection cycle, recorded in both modes only while the
+   fault has no hard detection in an earlier window and only if it does
+   not come after this window's hard slot (the one rule of DESIGN.md
+   §8).  Outgoing flip-flop diffs come from the last slot's D words.
 
 Because both axes implement the same per-cycle semantics, axis choice
 never changes detections — the property suite and the cross-validation
@@ -46,15 +46,18 @@ tests (vs ``csim-MV`` and the serial oracle) pin bit-identity.
 the same windows but drops nothing: every window-active fault is
 simulated, keeps its flip-flop diffs, and appends one ``(cycle,
 po_position)`` failure per mismatch bit, in the PROOFS loop's (cycle,
-output) order; its potential detection is the first unknown slot, even
-after the hard one.  :meth:`VectorFaultSimulator.advance` runs one window
-clipped to the limit :func:`repro.drive.drive` hands it — at every
-checkpoint and at a cycle budget — so snapshots fall on window
-boundaries and a truncated run stops at the exact cycle.
+output) order; its potential detection follows detect mode's rule, so a
+dictionary build reports exactly the potentials a dropping run reports.
+:meth:`VectorFaultSimulator.advance` runs one window clipped to the limit
+:func:`repro.drive.drive` hands it — at every checkpoint and at a cycle
+budget — so snapshots fall on window boundaries and a truncated run
+stops at the exact cycle.
 
 An optional numpy path (:mod:`repro.vector.plane`) evaluates pattern
-windows for *all* live faults at once on a (faults x patterns) plane of
-``uint64`` words, one vectorized operation per gate per sweep.
+windows for *all* active faults at once on a dual-rail (faults x
+patterns) plane of ``uint64`` words, a few vectorized operations per
+level per sweep, retiring each fault's row once its flip-flop words
+settle.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ the round-trip guarantees are defined — and property-tested — exactly
 once.
 
 :func:`evaluate_gate_word` is written against the bitwise operators only
-(``& | ^ ~`` plus an explicit ``mask``), so the same function evaluates
-plain Python integers of any width *and* numpy ``uint64`` arrays (the
-levelized plane path in :mod:`repro.vector.plane`), element-wise over a
-whole fault axis at a time.
+(``& | ^ ~`` plus an explicit ``mask``); PROOFS and the kernel's scalar
+window path call it on Python integers of any width.  The numpy plane
+(:mod:`repro.vector.plane`) does not: it keeps a dual-rail (ones, zeros)
+encoding and evaluates a whole level per fused step, which its tests
+check gate by gate against this function.
 """
 
 from __future__ import annotations
