@@ -18,9 +18,10 @@ Two committed files pin what a campaign's plumbing may not change:
 * ``golden/campaigns.json``: sha256 digests of
   :func:`repro.serve.cache.serialize_result` bytes (and of rendered
   response maps) for the execution paths ``golden/results.json`` does not
-  cover: collapsed runs, collapsed dictionary builds, transition runs
-  (plain, checkpointed every 16 cycles, killed and resumed, two jobs),
-  the engine ladders, and served jobs.
+  cover: collapsed runs (csim-MV, PROOFS and vsim), collapsed dictionary
+  builds, transition runs (plain, checkpointed every 16 cycles, killed
+  and resumed, two jobs), the engine ladders, and served jobs (PROOFS and
+  vsim among them).
 
 Both are computed only through entry points whose signatures do not
 change (the CLI's ``main``, :class:`FaultSimService`, ``cache_key`` and
@@ -111,6 +112,8 @@ SERVED_SPECS: Dict[str, dict] = {
     "prune": {"prune_untestable": True},
     "transition": {"transition": True},
     "dictionary": {"dictionary": "full", "collapse": "equivalence"},
+    "PROOFS": {"engine": "PROOFS"},
+    "vsim": {"engine": "vsim"},
 }
 
 
@@ -292,7 +295,7 @@ def campaign_digest(name: str, entry: str, tmp_dir: str) -> str:
 
 def campaign_entries() -> List[str]:
     return (
-        ["collapse/csim-MV", "collapse/vsim"]
+        ["collapse/csim-MV", "collapse/PROOFS", "collapse/vsim"]
         + ["build_responses/equivalence", "build_responses/full-universe"]
         + [f"transition/{path}" for path in TRANSITION_PATHS]
         + [f"ladder/{label}" for label in LADDERS]

@@ -7,8 +7,11 @@ runs on s27, s298 and s526, each over 64 random vectors:
 
 * csim, csim-V, csim-M and csim-MV in detect mode (fault dropping);
 * csim-MV in record mode (dictionary building, no dropping);
-* csim-TV on the transition-fault universe;
-* PROOFS and vsim in detect and record mode.
+* csim-TV and csim-T (lists not split) on the transition-fault universe;
+* PROOFS and vsim in detect and record mode;
+* vsim at word width 128 on the pattern axis (``vsim-w128``), detect and
+  record mode: the scalar pattern-window path, which the numpy plane
+  (width 64 at most) never takes.
 
 The counters are deterministic, so a rewrite of the engine's inner loops
 that changes how many gates, fault machines or list elements it touches
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 import pytest
 
@@ -38,7 +41,9 @@ COUNTERS_FILE = os.path.join(GOLDEN_DIR, "counters.json")
 CIRCUITS = ("s27", "s298", "s526")
 NUM_VECTORS = 64
 VECTOR_SEED = 5
-#: ``(label, engine, mode)`` of every pinned run.
+#: ``(label, engine, mode)`` of every pinned run.  ``csim-T`` is the
+#: transition engine without split lists; ``vsim-w128`` is vsim on its
+#: scalar pattern windows (see :data:`ENGINE_SETTINGS`).
 RUNS = (
     ("csim/detect", "csim", "detect"),
     ("csim-V/detect", "csim-V", "detect"),
@@ -46,22 +51,32 @@ RUNS = (
     ("csim-MV/detect", "csim-MV", "detect"),
     ("csim-MV/record", "csim-MV", "record"),
     ("csim-TV/transition", "csim-TV", "transition"),
+    ("csim-T/transition", "csim-T", "transition"),
     ("PROOFS/detect", "PROOFS", "detect"),
     ("PROOFS/record", "PROOFS", "record"),
     ("vsim/detect", "vsim", "detect"),
     ("vsim/record", "vsim", "record"),
+    ("vsim-w128/detect", "vsim-w128", "detect"),
+    ("vsim-w128/record", "vsim-w128", "record"),
 )
+
+#: Runner settings behind the engine names that are not registry names.
+ENGINE_SETTINGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "csim-T": ("csim-TV", {"split_lists": False}),
+    "vsim-w128": ("vsim", {"word_width": 128, "axis_mode": "pattern"}),
+}
 
 
 def run_counters(name: str, engine: str, mode: str) -> Dict[str, int]:
     """The work counters and peak element count of one pinned run."""
     circuit = load(name)
     tests = random_sequence(circuit, NUM_VECTORS, seed=VECTOR_SEED)
+    engine, settings = ENGINE_SETTINGS.get(engine, (engine, {}))
     if mode == "transition":
-        result = run_transition(circuit, tests)
+        result = run_transition(circuit, tests, **settings)
     else:
         result = run_stuck_at(
-            circuit, tests, engine, record_responses=mode == "record"
+            circuit, tests, engine, record_responses=mode == "record", **settings
         )
     counts = asdict(result.counters)
     counts["peak_elements"] = result.memory.peak_elements
