@@ -50,26 +50,10 @@ from repro.concurrent.options import SimOptions
 from repro.drive import drive
 from repro.faults.model import OUTPUT_PIN, Fault, StuckAtFault
 from repro.faults.universe import stuck_at_universe
-from repro.logic.tables import (
-    GateType,
-    MAX_TABLE_ARITY,
-    evaluate,
-    pack_inputs,
-    packed_table,
-    unpack_inputs,
-)
+from repro.logic.tables import GateType, shared_eval_tables
 from repro.logic.values import X
 from repro.obs.tracer import Tracer
 from repro.result import Failure, FaultSimResult, MemoryStats, WorkCounters
-
-#: Shared per-circuit evaluation tables.  Every engine instance over the
-#: same working circuit uses byte-identical tables, so they are built once
-#: and shared (the tables are immutable tuples).  Keyed weakly: dropping
-#: the circuit drops its cache entry.  This matters for campaigns that
-#: construct many engines over one circuit — ablation sweeps, the engine
-#: ladder, and especially the parallel runner's one-engine-per-shard
-#: workers, where the tables would otherwise be rebuilt K times.
-_EVAL_TABLE_CACHE: "WeakKeyDictionary[Circuit, Tuple]" = WeakKeyDictionary()
 
 #: Shared macro transforms, keyed weakly by flat circuit then by the macro
 #: input cap.  ``extract_macros`` is deterministic and its result is
@@ -77,43 +61,6 @@ _EVAL_TABLE_CACHE: "WeakKeyDictionary[Circuit, Tuple]" = WeakKeyDictionary()
 #: which also makes their *working* circuits the same object, letting the
 #: evaluation-table cache above hit across csim-M/-MV instances.
 _MACRO_CACHE: "WeakKeyDictionary[Circuit, Dict[int, object]]" = WeakKeyDictionary()
-
-
-class _UnpackedTable:
-    """Stands in for the table of a gate wider than ``MAX_TABLE_ARITY``:
-    indexing unpacks the word and evaluates it."""
-
-    __slots__ = ("gate_type", "arity")
-
-    def __init__(self, gate_type: GateType, arity: int) -> None:
-        self.gate_type = gate_type
-        self.arity = arity
-
-    def __getitem__(self, packed: int) -> int:
-        return evaluate(self.gate_type, unpack_inputs(packed, self.arity))
-
-
-def shared_eval_tables(circuit: Circuit) -> Tuple[Optional[Tuple[int, ...]], ...]:
-    """Per-gate packed-input lookup tables for *circuit*, memoized.
-
-    Sources get ``None``; gates too wide to tabulate get an
-    :class:`_UnpackedTable`.
-    """
-    tables = _EVAL_TABLE_CACHE.get(circuit)
-    if tables is None:
-        built: List[Optional[Tuple[int, ...]]] = []
-        for gate in circuit.gates:
-            if gate.gtype in (GateType.INPUT, GateType.DFF):
-                built.append(None)
-            elif gate.gtype is GateType.MACRO:
-                built.append(gate.table)
-            elif gate.arity <= MAX_TABLE_ARITY:
-                built.append(packed_table(gate.gtype, gate.arity))
-            else:
-                built.append(_UnpackedTable(gate.gtype, gate.arity))
-        tables = tuple(built)
-        _EVAL_TABLE_CACHE[circuit] = tables
-    return tables
 
 
 def shared_macro_transform(circuit: Circuit, macro_max_inputs: int):
@@ -555,11 +502,6 @@ class ConcurrentFaultSimulator:
                 self._evaluate(gate_index)
             bucket.clear()
 
-    def _good_output(self, gate, inputs: List[int]) -> int:
-        if gate.gtype is GateType.MACRO:
-            return gate.table[pack_inputs(inputs)]
-        return evaluate(gate.gtype, inputs)
-
     def _gather(self, gate_index: int, fanin: Tuple[int, ...]) -> Dict[int, int]:
         """One multi-list traversal: the faulty machines to evaluate at this
         gate, each mapped to the XOR of its packed input word against the
@@ -632,7 +574,7 @@ class ConcurrentFaultSimulator:
             elif fid not in deltas:
                 deltas[fid] = 0
 
-    def _transition_output(self, descriptor, gate, inputs):  # pragma: no cover
+    def _transition_output(self, descriptor, table, packed):  # pragma: no cover
         raise NotImplementedError(
             "transition faults require TransitionFaultSimulator"
         )
@@ -700,10 +642,8 @@ class ConcurrentFaultSimulator:
                     out = table[packed]
                 elif behavior is Behavior.TABLE:
                     out = descriptor.table[packed]
-                else:  # TRANSITION: rare site path, via the list hook
-                    inputs = list(unpack_inputs(packed, len(fanin)))
-                    out = self._transition_output(descriptor, gate, inputs)
-                    packed = pack_inputs(inputs)
+                else:  # TRANSITION: rare site path, via the hook
+                    out, packed = self._transition_output(descriptor, table, packed)
             visible = fid in vis_here
             before = vis_here[fid] if visible else old_good
             if out != new_good:

@@ -84,19 +84,18 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
 
     # -- site evaluation ----------------------------------------------------
 
-    def _transition_output(self, descriptor, gate, inputs):
-        """Evaluate the site gate with the transition delayed (sampling
-        pass) or completed (firing pass)."""
-        if self._firing:
-            return self._good_output(gate, inputs)
-        if descriptor.pin == OUTPUT_PIN:
-            settled = self._good_output(gate, inputs)
-            return delayed_value(descriptor.prev_site_value, settled, descriptor.kind)
-        current = inputs[descriptor.pin]
-        inputs[descriptor.pin] = delayed_value(
-            descriptor.prev_site_value, current, descriptor.kind
-        )
-        return self._good_output(gate, inputs)
+    def _transition_output(self, descriptor, table, packed):
+        """Evaluate the site gate's packed state with the transition
+        delayed (sampling pass) or completed (firing pass); returns
+        ``(output, packed state)``, a delayed input pin's field rewritten."""
+        if not self._firing:
+            prev, kind = descriptor.prev_site_value, descriptor.kind
+            if descriptor.pin == OUTPUT_PIN:
+                return delayed_value(prev, table[packed], kind), packed
+            position = 2 * descriptor.pin
+            delayed = delayed_value(prev, (packed >> position) & 0b11, kind)
+            packed = (packed & ~(0b11 << position)) | (delayed << position)
+        return table[packed], packed
 
     def _ff_transition_latch(self, descriptor, q_fault):
         """A slow transition on a D pin latches the line's previous value

@@ -9,7 +9,9 @@ achieved through table look up").  This module provides both:
   used by reference simulators and to *construct* lookup tables, and
 * :func:`packed_table` / :func:`evaluate_packed` — per-(type, arity) lookup
   tables indexed by a packed input word, 2 bits per pin, used on the hot
-  paths of the concurrent engine and by macro gates.
+  paths of the concurrent engine and by macro gates, and
+* :func:`shared_eval_tables` — one such table per gate of a circuit, built
+  once per circuit for every engine that settles a good machine by lookup.
 
 Tables are built lazily and memoized; an ``AND`` table of arity 4 has
 ``1 << 8`` entries and is built once per process.
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from repro.logic.values import ONE, VALUES, X, ZERO, invert
 
@@ -206,3 +209,50 @@ def inverted_base(gate_type: GateType) -> GateType:
     followed by an inverter).
     """
     return _INVERTED_OF.get(gate_type, gate_type)
+
+
+class _UnpackedTable:
+    """Stands in for the table of a gate wider than ``MAX_TABLE_ARITY``:
+    indexing unpacks the word and evaluates it."""
+
+    __slots__ = ("gate_type", "arity")
+
+    def __init__(self, gate_type: GateType, arity: int) -> None:
+        self.gate_type = gate_type
+        self.arity = arity
+
+    def __getitem__(self, packed: int) -> int:
+        return evaluate(self.gate_type, unpack_inputs(packed, self.arity))
+
+
+#: Shared per-circuit evaluation tables.  Every engine instance over the
+#: same working circuit uses byte-identical tables, so they are built once
+#: and shared (the tables are immutable tuples).  Keyed weakly: dropping
+#: the circuit drops its cache entry.  This matters for campaigns that
+#: construct many engines over one circuit — ablation sweeps, the engine
+#: ladder, and especially the parallel runner's one-engine-per-shard
+#: workers, where the tables would otherwise be rebuilt K times.
+_EVAL_TABLE_CACHE: "WeakKeyDictionary[Any, Tuple[Any, ...]]" = WeakKeyDictionary()
+
+
+def shared_eval_tables(circuit: Any) -> Tuple[Any, ...]:
+    """Per-gate packed-input lookup tables for *circuit*, memoized.
+
+    Sources get ``None``; gates too wide to tabulate get an
+    :class:`_UnpackedTable`; macro gates their own table.
+    """
+    tables = _EVAL_TABLE_CACHE.get(circuit)
+    if tables is None:
+        built: List[Any] = []
+        for gate in circuit.gates:
+            if gate.gtype in (GateType.INPUT, GateType.DFF):
+                built.append(None)
+            elif gate.gtype is GateType.MACRO:
+                built.append(gate.table)
+            elif gate.arity <= MAX_TABLE_ARITY:
+                built.append(packed_table(gate.gtype, gate.arity))
+            else:
+                built.append(_UnpackedTable(gate.gtype, gate.arity))
+        tables = tuple(built)
+        _EVAL_TABLE_CACHE[circuit] = tables
+    return tables
