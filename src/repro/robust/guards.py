@@ -152,12 +152,13 @@ def invariant_violations(simulator: Any) -> List[str]:
 def _ff_diff_violations(simulator: Any) -> List[str]:
     """Word-engine invariants, audited at cycle boundaries (post-clock),
     where each carried diff must disagree with the good machine's DFF
-    value; ``good`` is a :class:`repro.sim.logicsim.LogicSimulator`."""
+    value; ``good`` is a :class:`repro.sim.logicsim.LogicSimulator` and
+    ``ff_diffs`` is indexed by fault id."""
     violations: List[str] = []
     good = getattr(simulator, "good", None)
     good_values = good.values if good is not None else []
     detected = getattr(simulator, "detected", {})
-    for fault, diffs in simulator.ff_diffs.items():
+    for fault, diffs in zip(simulator.faults, simulator.ff_diffs):
         if diffs and fault in detected:
             violations.append(
                 f"dropped fault {fault!r} still carries "

@@ -1,10 +1,12 @@
 """Pattern-parallel vector engine: word-packed fault x pattern kernel.
 
-The package behind engine ``vsim`` (the ISSUE's ``csim-V`` slot — that
-name was already taken by the split-lists concurrent variant):
+The package behind engine ``vsim`` (``csim-V`` was already taken by the
+split-lists concurrent variant):
 
 * :mod:`repro.vector.packing` — the shared two-mask three-valued word
-  encoding (pack/unpack, slot access, word-parallel gate algebra).
+  encoding (pack/unpack, slot access, the reference gate algebra).
+* :mod:`repro.vector.core` — the word core PROOFS groups and vsim's scalar
+  windows settle on, and the table-driven good machine.
 * :mod:`repro.vector.scheduler` — the axis-picking scheduler choosing
   fault-axis vs pattern-axis packing per window.
 * :mod:`repro.vector.kernel` — :class:`VectorFaultSimulator`, the

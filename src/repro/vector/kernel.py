@@ -14,29 +14,26 @@ tail.
 **Pattern-axis windows are exact**, not an approximation of per-cycle
 simulation.  For one fault over a window of ``W`` vectors:
 
-1. the good machine is stepped serially, recording the settled values of
-   every cycle (one ``settle`` per vector — identical work to any other
-   engine) — packed lazily into per-gate good words, slot ``t`` = cycle
-   ``t``;
-2. the faulty machine's word plane starts as the good plane; the fault
-   site is forced in every slot, and the fault's carried flip-flop diffs
-   seed slot 0 of the affected DFF outputs; the combinational cones
-   settle event-driven and levelized, exactly the PROOFS group algorithm
-   with the bit axis reinterpreted;
+1. the good machine settles once per vector (identical work to any other
+   engine) and every gate's settled values pack into one good word, slot
+   ``t`` = cycle ``t``;
+2. the faulty machine starts as the good words, the fault site is forced
+   in every slot and the carried flip-flop diffs seed slot 0; the cones
+   settle on the word core of :mod:`repro.vector.core`, which PROOFS
+   groups run with the bit axis meaning faults;
 3. sequential feedback is closed by fix-up iteration: each DFF's output
    word must equal its input word shifted up one slot (slot ``t+1``
    latches the slot-``t`` D value).  Each pass makes one more leading
    slot final, so the iteration reaches the exact fixpoint in at most
    ``W`` passes — usually 2-3, since state divergence rarely spans the
    window;
-4. each primary output yields one *mismatch* word (slots whose good
-   value is binary and differs binarily) and one *unknown* word (binary
-   good, unknown faulty).  The earliest mismatch slot is the
-   hard-detection cycle; the earliest unknown slot is the
-   potential-detection cycle, recorded in both modes only while the
-   fault has no hard detection in an earlier window and only if it does
-   not come after this window's hard slot (the one rule of DESIGN.md
-   §8).  Outgoing flip-flop diffs come from the last slot's D words.
+4. each primary output yields one *mismatch* word (binary good, binary
+   and different faulty) and one *unknown* word (binary good, unknown
+   faulty): the earliest slots are the hard- and potential-detection
+   cycles.  A potential counts only while the fault has no hard detection
+   in an earlier window and not after this window's hard slot (the one
+   rule of DESIGN.md §8).  Outgoing flip-flop diffs come from the last
+   slot's D words.
 
 Because both axes implement the same per-cycle semantics, axis choice
 never changes detections — the property suite and the cross-validation
@@ -46,12 +43,10 @@ tests (vs ``csim-MV`` and the serial oracle) pin bit-identity.
 the same windows but drops nothing: every window-active fault is
 simulated, keeps its flip-flop diffs, and appends one ``(cycle,
 po_position)`` failure per mismatch bit, in the PROOFS loop's (cycle,
-output) order; its potential detection follows detect mode's rule, so a
-dictionary build reports exactly the potentials a dropping run reports.
-:meth:`VectorFaultSimulator.advance` runs one window clipped to the limit
-:func:`repro.drive.drive` hands it — at every checkpoint and at a cycle
-budget — so snapshots fall on window boundaries and a truncated run
-stops at the exact cycle.
+output) order.  :meth:`VectorFaultSimulator.advance` runs one window
+clipped to the limit :func:`repro.drive.drive` hands it — at every
+checkpoint and at a cycle budget — so snapshots fall on window
+boundaries and a truncated run stops at the exact cycle.
 
 An optional numpy path (:mod:`repro.vector.plane`) evaluates pattern
 windows for *all* active faults at once on a dual-rail (faults x
@@ -66,17 +61,16 @@ import functools
 import itertools
 import operator
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.drive import drive
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.baselines.proofs import ProofsSimulator
-from repro.logic.tables import GateType
-from repro.logic.values import ONE, X
+from repro.logic.values import ONE, X, ZERO
 from repro.obs.tracer import Tracer
 from repro.result import FaultSimResult
-from repro.vector.packing import broadcast_word, evaluate_gate_word, set_slot
+from repro.vector.core import WordMachine, pack_slots, each_slot
 from repro.vector.scheduler import AxisScheduler
 
 #: Engine name in the registry (``csim-V`` was already taken by the
@@ -89,6 +83,10 @@ ENGINE_NAME = "vsim"
 #: word per primary output, bit ``t`` standing for slot ``t``.
 WindowOutcome = Tuple[List[int], List[int], Dict[int, int]]
 
+#: A window's good machine: the ``ones`` words and the ``xs`` words, one
+#: per gate, bit ``t`` standing for slot ``t``.
+GoodWords = Tuple[List[int], List[int]]
+
 
 def _first_slot(words: List[int]) -> Optional[int]:
     """The earliest slot set in any of *words*, or None."""
@@ -98,14 +96,9 @@ def _first_slot(words: List[int]) -> Optional[int]:
 
 def _failing_slots(mismatch: List[int]) -> List[Tuple[int, int]]:
     """Every ``(slot, po_position)`` set in *mismatch*, in slot order."""
-    failing: List[Tuple[int, int]] = []
-    for position, word in enumerate(mismatch):
-        while word:
-            low = word & -word
-            failing.append((low.bit_length() - 1, position))
-            word ^= low
-    failing.sort()
-    return failing
+    return sorted(
+        (slot, position) for position, word in enumerate(mismatch) for slot in each_slot(word)
+    )
 
 
 class VectorFaultSimulator(ProofsSimulator):
@@ -154,10 +147,7 @@ class VectorFaultSimulator(ProofsSimulator):
         )
         self.use_numpy = use_numpy
         super().__init__(
-            circuit,
-            faults,
-            word_size=word_width,
-            tracer=tracer,
+            circuit, faults, word_size=word_width, tracer=tracer,
             record_responses=record_responses,
         )
 
@@ -187,10 +177,7 @@ class VectorFaultSimulator(ProofsSimulator):
         The scheduler sees every fault as live in record mode, where
         nothing is dropped.
         """
-        if self.record_responses:
-            live = len(self.faults)
-        else:
-            live = sum(1 for fault in self.faults if fault not in self.detected)
+        live = len(self.faults) - (0 if self.record_responses else len(self.detected))
         decision = self.scheduler.choose(self.cycle + 1, live, limit)
         self.axis_windows[decision.axis] = self.axis_windows.get(decision.axis, 0) + 1
         window = list(itertools.islice(vectors, min(limit, self.word_width)))
@@ -211,30 +198,20 @@ class VectorFaultSimulator(ProofsSimulator):
 
     def _pattern_window(self, window: List[Sequence[int]]) -> None:
         """Simulate a window of vectors with one bit slot per cycle."""
-        circuit = self.circuit
         width = len(window)
         mask = (1 << width) - 1
         trace = self.tracer
         base_cycle = self.cycle
-        live_entry = sum(len(diffs) for diffs in self.ff_diffs.values())
+        live_entry = sum(map(len, self.ff_diffs))
 
-        # Good machine: one serial settle per cycle (identical good work
-        # to every other engine), values snapshotted per cycle.  The last
-        # cycle's tracer window stays open so the packed fault work below
-        # is attributed inside a cycle.
+        # Good machine: one settle per cycle (identical good work to every
+        # other engine), values snapshotted per cycle.  The last cycle's
+        # tracer window stays open so the packed fault work below is
+        # attributed inside a cycle.
         snaps: List[List[int]] = []
         for offset, vector in enumerate(window):
-            self.cycle += 1
-            self.counters.cycles += 1
-            if trace is not None:
-                trace.cycle_start(self.cycle)
-                t0 = time.perf_counter()
-            self.good.settle(vector)
-            self.counters.good_evaluations += circuit.num_combinational
+            self._settle_good(vector)
             snaps.append(list(self.good.values))
-            if trace is not None:
-                trace.good_evals(None, circuit.num_combinational)
-                trace.phase_time("good", time.perf_counter() - t0)
             if offset < width - 1:
                 self.good.clock()
                 if trace is not None:
@@ -242,107 +219,47 @@ class VectorFaultSimulator(ProofsSimulator):
                         self.cycle, live=live_entry, visible=live_entry, invisible=0
                     )
 
-        # Lazily packed good words: gate -> (ones, xs), slot t = cycle t.
-        good_words: Dict[int, Tuple[int, int]] = {}
+        # Every gate's good word, slot t = cycle t.
+        good_words = pack_slots(snaps)
 
-        def good_word(index: int) -> Tuple[int, int]:
-            word = good_words.get(index)
-            if word is None:
-                ones = 0
-                xs = 0
-                for slot in range(width):
-                    value = snaps[slot][index]
-                    if value == ONE:
-                        ones |= 1 << slot
-                    elif value == X:
-                        xs |= 1 << slot
-                word = (ones, xs)
-                good_words[index] = word
-            return word
-
-        if trace is not None:
-            t1 = time.perf_counter()
+        started = time.perf_counter()
         record = self.record_responses
-        active = [
-            fault
-            for fault in self.faults
-            if (record or fault not in self.detected)
-            and self._window_active(fault, mask, good_word)
-        ]
-
+        active = self._active(*good_words, mask)
         if self.use_numpy and active:
             from repro.vector import plane
 
-            outcomes = plane.simulate_window(self, active, snaps, mask, good_word)
+            outcomes = plane.simulate_window(self, active, snaps, mask, good_words)
         else:
             outcomes = [
-                self._propagate_fault_window(fault, width, mask, snaps, good_word)
-                for fault in active
+                self._propagate_fault_window(fid, width, mask, snaps, good_words)
+                for fid in active
             ]
 
-        for fault, (mismatch, unknown, new_diffs) in zip(active, outcomes):
+        for fid, (mismatch, unknown, new_diffs) in zip(active, outcomes):
             hard_slot = _first_slot(mismatch)
             pot_slot = _first_slot(unknown)
             # No potential after a hard detection in an earlier cycle.
             if (
                 pot_slot is not None
-                and fault not in self.potentially_detected
-                and fault not in self.detected
+                and not self._potential[fid]
+                and not self._detected_at[fid]
                 and (hard_slot is None or pot_slot <= hard_slot)
             ):
-                cycle = base_cycle + pot_slot + 1
-                self.potentially_detected[fault] = cycle
-                if trace is not None:
-                    trace.detect(self._fault_ids[fault], cycle, potential=True)
+                self._note_potential(fid, base_cycle + pot_slot + 1)
             if hard_slot is not None:
                 if record:
-                    self._responses.setdefault(fault, []).extend(
+                    self._responses.setdefault(fid, []).extend(
                         (base_cycle + slot + 1, position)
                         for slot, position in _failing_slots(mismatch)
                     )
-                if fault not in self.detected:
-                    cycle = base_cycle + hard_slot + 1
-                    self.detected[fault] = cycle
-                    if trace is not None:
-                        trace.detect(self._fault_ids[fault], cycle)
-                        if not record:
-                            trace.drop(self._fault_ids[fault], cycle)
+                if not self._detected_at[fid]:
+                    self._note_detection(fid, base_cycle + hard_slot + 1)
             # Detect mode drops a detected fault; record mode keeps it.
-            self.ff_diffs[fault] = new_diffs if record or hard_slot is None else {}
-
-        live = sum(len(diffs) for diffs in self.ff_diffs.values())
-        self.memory.note_elements(live)
-        if trace is not None:
-            trace.phase_time("groups", time.perf_counter() - t1)
-        self.good.clock()
-        if trace is not None:
-            trace.cycle_end(self.cycle, live=live, visible=live, invisible=0)
-
-    def _window_active(self, fault: StuckAtFault, mask: int, good_word: Any) -> bool:
-        """Could this fault differ from the good machine inside the window?
-
-        The windowed analogue of PROOFS' per-cycle activity filter: yes if
-        it carries faulty flip-flop state, or the stuck line's good value
-        opposes the stuck value (X included) in *any* slot.
-        """
-        if self.ff_diffs[fault]:
-            return True
-        if fault.pin == OUTPUT_PIN:
-            site = fault.gate
-        else:
-            site = self.circuit.gates[fault.gate].fanin[fault.pin]
-        ones, xs = good_word(site)
-        if fault.value == ONE:
-            return bool(mask & ~ones)
-        return bool(ones | xs)
+            self.ff_diffs[fid] = new_diffs if record or hard_slot is None else {}
+        self._close_cycle(started)
 
     def _propagate_fault_window(
-        self,
-        fault: StuckAtFault,
-        width: int,
-        mask: int,
-        snaps: List[List[int]],
-        good_word: Any,
+        self, fid: int, width: int, mask: int, snaps: List[List[int]], good_words: GoodWords
     ) -> WindowOutcome:
         """Propagate one fault through a whole window of cycles at once.
 
@@ -351,126 +268,41 @@ class VectorFaultSimulator(ProofsSimulator):
         ``t`` of the window) and the flip-flop diffs after the window.
         """
         circuit = self.circuit
-        gates = circuit.gates
-        trace = self.tracer
-        counters = self.counters
-
-        words: Dict[int, Tuple[int, int]] = {}
-
-        def get_word(index: int) -> Tuple[int, int]:
-            word = words.get(index)
-            if word is None:
-                return good_word(index)
-            return word
-
-        def set_word(index: int, one_bits: int, x_bits: int) -> bool:
-            old = get_word(index)
-            if old == (one_bits, x_bits):
-                return False
-            words[index] = (one_bits, x_bits)
-            return True
-
-        queue: List[List[int]] = [[] for _ in range(circuit.num_levels + 1)]
-        in_queue: Set[int] = set()
-        dirty_ffs: Set[int] = set()
-
-        def schedule(index: int) -> None:
-            if index not in in_queue:
-                in_queue.add(index)
-                queue[gates[index].level].append(index)
-                counters.gates_scheduled += 1
-                if trace is not None:
-                    trace.scheduled(index, gates[index].level)
-
-        def emit(index: int) -> None:
-            counters.events += 1
-            if trace is not None:
-                trace.event(index)
-            for sink in gates[index].fanout:
-                if gates[sink].gtype is GateType.DFF:
-                    dirty_ffs.add(sink)
-                else:
-                    schedule(sink)
-
+        good_ones, good_xs = good_words
+        machine = WordMachine(
+            self.plan, list(good_ones), list(good_xs), mask, self.counters, self.tracer
+        )
+        ones, xs = machine.ones, machine.xs
         # Carried flip-flop diffs seed slot 0 (the window's first cycle).
-        for ff_index, value in self.ff_diffs[fault].items():
-            one_bits, x_bits = get_word(ff_index)
-            one_bits, x_bits = set_slot(one_bits, x_bits, 0, value)
-            if set_word(ff_index, one_bits, x_bits):
-                emit(ff_index)
-
+        for ff_index, value in self.ff_diffs[fid].items():
+            machine.set_slots(ff_index, 1, value)
         # Inject the stuck line, forced in every slot.
-        forced_word = broadcast_word(fault.value, mask)
-        out_forced = -1
-        in_forced: Optional[Tuple[int, int]] = None
-        if fault.pin == OUTPUT_PIN:
-            out_forced = fault.gate
-            if set_word(fault.gate, *forced_word):
-                emit(fault.gate)
-        else:
-            in_forced = (fault.gate, fault.pin)
-            if gates[fault.gate].gtype is GateType.DFF:
-                dirty_ffs.add(fault.gate)
-            else:
-                schedule(fault.gate)
-
-        def operand(gate_index: int, pin: int, source: int) -> Tuple[int, int]:
-            if in_forced is not None and in_forced == (gate_index, pin):
-                return forced_word
-            return get_word(source)
-
-        def settle() -> None:
-            for level in range(1, len(queue)):
-                bucket = queue[level]
-                for gate_index in bucket:
-                    in_queue.discard(gate_index)
-                    counters.fault_evaluations += 1
-                    if trace is not None:
-                        trace.fault_evals(gate_index)
-                    if gate_index == out_forced:
-                        one_out, x_out = forced_word
-                    else:
-                        gate = gates[gate_index]
-                        operands = [
-                            operand(gate_index, pin, source)
-                            for pin, source in enumerate(gate.fanin)
-                        ]
-                        one_out, x_out = evaluate_gate_word(
-                            gate.gtype, operands, mask
-                        )
-                    if set_word(gate_index, one_out, x_out):
-                        emit(gate_index)
-                bucket.clear()
-
-        def latched_word(ff_index: int) -> Tuple[int, int]:
-            """The D word a DFF latches (input forcing applied)."""
-            if in_forced is not None and in_forced == (ff_index, 0):
-                return forced_word
-            return get_word(gates[ff_index].fanin[0])
+        fault = self.faults[fid]
+        machine.force(fault.gate, fault.pin, mask, fault.value)
+        out_forced = fault.gate if fault.pin == OUTPUT_PIN else -1
 
         # Close the sequential feedback: slot t+1 of each touched DFF's
         # output must hold slot t of its input.  Each pass finalizes at
         # least one more leading slot, so the fixpoint lands within
         # ``width`` passes; the settle in between replays only the cones
         # the corrections touched.
-        settle()
+        machine.settle()
         high_mask = mask & ~1
         for _ in range(width + 1):
             changed = False
-            for ff_index in sorted(dirty_ffs):
+            for ff_index in sorted(machine.dirty_ffs):
                 if ff_index == out_forced:
                     continue  # output-stuck DFF: Q is forced in every slot
-                d_ones, d_xs = latched_word(ff_index)
-                q_ones, q_xs = get_word(ff_index)
-                req_ones = ((d_ones << 1) & high_mask) | (q_ones & 1)
-                req_xs = ((d_xs << 1) & high_mask) | (q_xs & 1)
-                if (req_ones, req_xs) != (q_ones, q_xs):
-                    set_word(ff_index, req_ones, req_xs)
-                    emit(ff_index)
-                    changed = True
+                d_ones, d_xs = machine.operand(ff_index, 0)
+                q_ones, q_xs = ones[ff_index], xs[ff_index]
+                changed |= machine.set_word(
+                    ff_index,
+                    ((d_ones << 1) & high_mask) | (q_ones & 1),
+                    ((d_xs << 1) & high_mask) | (q_xs & 1),
+                )
             if not changed:
                 break
-            settle()
+            machine.settle()
         else:  # pragma: no cover - the pass bound proof above precludes this
             raise RuntimeError(
                 f"pattern window failed to converge within {width + 1} passes"
@@ -480,29 +312,18 @@ class VectorFaultSimulator(ProofsSimulator):
         mismatch: List[int] = []
         unknown: List[int] = []
         for po_index in circuit.outputs:
-            word = words.get(po_index)
-            if word is None:  # untouched: identical to the good machine
-                mismatch.append(0)
-                unknown.append(0)
-                continue
-            f_ones, f_xs = word
-            g_ones, g_xs = good_word(po_index)
-            binary_good = mask & ~g_xs
+            binary_good = mask & ~good_xs[po_index]
+            f_ones, f_xs = ones[po_index], xs[po_index]
             unknown.append(f_xs & binary_good)
-            mismatch.append((f_ones ^ g_ones) & binary_good & ~f_xs)
+            mismatch.append((f_ones ^ good_ones[po_index]) & binary_good & ~f_xs)
 
         # Outgoing flip-flop diffs from the last slot's D words.
         new_diffs: Dict[int, int] = {}
-        last = width - 1
-        last_bit = 1 << last
-        for ff_index in dirty_ffs:
-            d_ones, d_xs = latched_word(ff_index)
-            if d_ones & last_bit:
-                value = ONE
-            elif d_xs & last_bit:
-                value = X
-            else:
-                value = 0
-            if value != snaps[last][gates[ff_index].fanin[0]]:
+        last_bit = 1 << (width - 1)
+        last = snaps[-1]
+        for ff_index in machine.dirty_ffs:
+            d_ones, d_xs = machine.operand(ff_index, 0)
+            value = ONE if d_ones & last_bit else X if d_xs & last_bit else ZERO
+            if value != last[circuit.gates[ff_index].fanin[0]]:
                 new_diffs[ff_index] = value
         return (mismatch, unknown, new_diffs)

@@ -3,18 +3,16 @@
 One signal word encodes ``width`` independent three-valued machines in two
 bit masks — ``ones`` (bits that are logic 1) and ``xs`` (bits that are
 unknown); a bit clear in both is logic 0, and ``ones & xs`` is always
-empty.  The PROOFS baseline packs one *fault machine* per bit; the vector
-kernel (:mod:`repro.vector.kernel`) packs one *pattern* (clock cycle) per
-bit.  Both axes share this module, so the encoding, the gate algebra and
-the round-trip guarantees are defined — and property-tested — exactly
-once.
+empty.  PROOFS packs one *fault machine* per bit, vsim's pattern windows
+one *pattern* (clock cycle) per bit; both settle on the word core
+(:mod:`repro.vector.core`).
 
-:func:`evaluate_gate_word` is written against the bitwise operators only
-(``& | ^ ~`` plus an explicit ``mask``); PROOFS and the kernel's scalar
-window path call it on Python integers of any width.  The numpy plane
-(:mod:`repro.vector.plane`) does not: it keeps a dual-rail (ones, zeros)
-encoding and evaluates a whole level per fused step, which its tests
-check gate by gate against this function.
+:func:`evaluate_gate_word` is the reference gate algebra, written against
+the bitwise operators only (``& | ^ ~`` plus an explicit ``mask``) so it
+works on Python integers of any width and on numpy arrays alike.  The
+engines do not call it: the tests check the core's algebra and the numpy
+plane's fused dual-rail step (:mod:`repro.vector.plane`) against it, slot
+by slot.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.values import ONE, ZERO
 from repro.patterns.random_gen import random_sequence
+from repro.vector.core import broadcast
 
 
 class TestConstruction:
@@ -27,22 +28,22 @@ class TestActivityFilter:
     def test_inactive_fault_skipped(self, s27):
         """A stuck value matching the good line value with no state diff
         means the machines coincide; PROOFS must not simulate it."""
-        sim = ProofsSimulator(s27)
-        vector = (ZERO, ZERO, ZERO, ZERO)
-        sim.good.settle(vector)
-        good_values = sim.good.values
         pi = s27.inputs[0]
         matching = StuckAtFault.make(pi, OUTPUT_PIN, 0)  # PI is 0, stuck 0
         opposing = StuckAtFault.make(pi, OUTPUT_PIN, 1)
-        assert not sim._is_active(matching, good_values)
-        assert sim._is_active(opposing, good_values)
+        sim = ProofsSimulator(s27, faults=[matching, opposing])
+        vector = (ZERO, ZERO, ZERO, ZERO)
+        sim.good.settle(vector)
+        active = sim._active(*broadcast(sim.good.values, 1), 1)
+        assert sim.faults.index(matching) not in active
+        assert sim.faults.index(opposing) in active
 
     def test_state_diff_makes_fault_active(self, s27):
         sim = ProofsSimulator(s27)
-        fault = sim.faults[0]
-        sim.ff_diffs[fault][s27.dffs[0]] = ONE
+        fid = 0
+        sim.ff_diffs[fid][s27.dffs[0]] = ONE
         sim.good.settle((ZERO, ZERO, ZERO, ZERO))
-        assert sim._is_active(fault, sim.good.values)
+        assert fid in sim._active(*broadcast(sim.good.values, 1), 1)
 
 
 class TestGrouping:
@@ -63,7 +64,7 @@ class TestGrouping:
             sim.step(vector)
         # Once detected, a fault's diffs are cleared and stay cleared.
         for fault, cycle in sim.detected.items():
-            assert not sim.ff_diffs[fault]
+            assert not sim.ff_diffs[sim.faults.index(fault)]
 
 
 class TestStep:

@@ -395,7 +395,7 @@ class TestInvariants:
         simulator = make_stuck_at_simulator(s27, engine)
         simulator.run(s27_tests)
         assert invariant_violations(simulator) == []
-        simulator.ff_diffs[simulator.faults[0]] = {s27.dffs[0]: 7}
+        simulator.ff_diffs[0] = {s27.dffs[0]: 7}
         assert any(
             "illegal logic value" in v for v in invariant_violations(simulator)
         )

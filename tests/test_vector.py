@@ -9,6 +9,7 @@ fault, its fused dual-rail step gate by gate), and a failing ``vsim``
 rung degrades to ``csim-MV`` under the ladder's serial-oracle audit.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from tests.conftest import make_circuit
 
 from repro.baselines.serial import simulate_serial
 from repro.circuit.netlist import CircuitBuilder
+from repro.faults.model import OUTPUT_PIN
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import (
     ENGINE_NAMES,
@@ -27,7 +29,9 @@ from repro.harness.runner import (
 from repro.logic.tables import GateType, evaluate
 from repro.logic.values import ONE, VALUES, X, ZERO
 from repro.patterns.random_gen import random_sequence
+from repro.result import WorkCounters
 from repro.vector import plane
+from repro.vector.core import WordMachine, WordPlan
 from repro.vector.kernel import ENGINE_NAME, VectorFaultSimulator
 from repro.vector.packing import (
     MIN_WORD_WIDTH,
@@ -139,6 +143,78 @@ class TestPacking:
     def test_validate_rejects_nonsense(self, width):
         with pytest.raises(ValueError):
             validate_word_width(width)
+
+
+#: ``(gate type, arity)`` of every word-core algebra case.
+CORE_CASES = [
+    (gtype, arity)
+    for gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                  GateType.XOR, GateType.XNOR)
+    for arity in (1, 2, 3, 4, 8)
+] + [(GateType.BUF, 1), (GateType.NOT, 1), (GateType.CONST0, 0), (GateType.CONST1, 0)]
+
+
+class TestWordCore:
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize(
+        "gtype,arity", CORE_CASES, ids=[f"{g.name}{k}" for g, k in CORE_CASES]
+    )
+    def test_gate_matches_evaluate_gate_word(self, gtype, arity, forced):
+        """One slot per input combination (all 3^k, X included): the core's
+        settled output equals evaluate_gate_word over the same operands,
+        with input and output forcing applied to some slots."""
+        builder = CircuitBuilder("one_gate")
+        names = [f"i{pin}" for pin in range(arity)]
+        for name in names:
+            builder.add_input(name)
+        builder.add_gate("g", gtype, names)
+        builder.set_output("g")
+        circuit = builder.build()
+        gate = circuit.index_of("g")
+        combos = list(itertools.product(VALUES, repeat=arity)) if arity else [()] * 8
+        width = len(combos)
+        mask = (1 << width) - 1
+        columns = [[combo[pin] for combo in combos] for pin in range(arity)]
+        ones = [0] * len(circuit.gates)
+        xs = [0] * len(circuit.gates)
+        for pin, name in enumerate(names):
+            ones[circuit.index_of(name)], xs[circuit.index_of(name)] = pack_values(
+                columns[pin]
+            )
+        counters = WorkCounters()
+        machine = WordMachine(WordPlan(circuit), ones, xs, mask, counters, None)
+        out_forced = {}
+        if forced:
+            for pin in range(arity):
+                for value, offset in ((ONE, 1), (ZERO, 4)):
+                    slots = [s for s in range(width) if s % 6 == (pin + offset) % 6]
+                    machine.force(gate, pin, sum(1 << s for s in slots), value)
+                    for slot in slots:
+                        columns[pin][slot] = value
+            for value, offset in ((ONE, 2), (ZERO, 0)):
+                slots = [s for s in range(width) if s % 5 == offset]
+                machine.force(gate, OUTPUT_PIN, sum(1 << s for s in slots), value)
+                out_forced.update((slot, value) for slot in slots)
+        machine.touch(gate)
+        machine.settle()
+        assert counters.fault_evaluations == 1
+        operands = [pack_values(column) for column in columns]
+        expected = unpack_values(*evaluate_gate_word(gtype, operands, mask), width)
+        for slot, value in out_forced.items():
+            expected[slot] = value
+        assert unpack_values(machine.ones[gate], machine.xs[gate], width) == expected
+
+    @pytest.mark.parametrize("length", [3, 5])
+    @pytest.mark.parametrize("engine,axis", [
+        ("PROOFS", "auto"), ("vsim", "fault"), ("vsim", "pattern"),
+    ])
+    def test_wrong_vector_length_rejected(self, s27, engine, axis, length):
+        """A vector that does not match the inputs fails loudly, never
+        truncated or padded into the good machine."""
+        simulator = make_stuck_at_simulator(s27, engine, axis_mode=axis)
+        vectors = [(ZERO,) * len(s27.inputs)] * 3 + [(ONE,) * length]
+        with pytest.raises(ValueError, match="vector has"):
+            simulator.run(vectors)
 
 
 class TestScheduler:
