@@ -35,7 +35,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
@@ -58,8 +69,9 @@ class SignatureClasses:
     Every distinct failure owns one bit, so a signature is an int mask and
     the failures two signatures share are the popcount of their ``&``.
     Class ``i`` has signature mask ``masks[i]`` with ``sizes[i]``
-    failures, and ``members[i]`` lists its faults in fault order; classes
-    are in the fault order of their first members.  Undetected faults
+    failures, and ``members[i]`` lists its faults; members and classes
+    follow the dictionary's ``signatures`` map, so they are in fault order
+    (classes by first member) whenever the map is.  Undetected faults
     (empty signatures) belong to no class.
     """
 
@@ -80,7 +92,12 @@ class SignatureClasses:
 
 @dataclass(frozen=True)
 class FaultDictionary:
-    """Base dictionary: fault -> response signature."""
+    """Base dictionary: fault -> response signature.
+
+    :func:`assemble_dictionary` and the decoder build ``signatures`` in
+    fault order, and :attr:`classes` keeps the map's order rather than
+    sorting it again.
+    """
 
     circuit_name: str
     num_vectors: int
@@ -101,34 +118,36 @@ class FaultDictionary:
 
     @cached_property
     def classes(self) -> SignatureClasses:
-        """The signature-class index, built on first use and kept."""
-        bits: Dict[object, int] = {}
-        positions: Dict[FrozenSet, int] = {}
-        masks: List[int] = []
-        members: List[List[Fault]] = []
-        for fault in sorted(self.signatures):
-            signature = self.signatures[fault]
-            if not signature:
-                continue
-            position = positions.get(signature)
-            if position is None:
-                position = positions[signature] = len(masks)
-                for failure in signature:
-                    bits.setdefault(failure, len(bits))
-                masks.append(sum(1 << bits[failure] for failure in signature))
-                members.append([])
-            members[position].append(fault)
+        """The signature-class index, built on first use and kept.
+
+        The ranking does not depend on the order of classes or members
+        (ties are broken by fault), so a hand-built map in another order
+        ranks alike.
+        """
+        groups: Dict[FrozenSet, List[Fault]] = {}
+        for fault, signature in self.signatures.items():
+            if signature:
+                groups.setdefault(signature, []).append(fault)
+        bits = {
+            failure: bit
+            for bit, failure in enumerate(dict.fromkeys(chain.from_iterable(groups)))
+        }
+        shift = (1).__lshift__
         return SignatureClasses(
             bits=bits,
-            masks=tuple(masks),
-            sizes=tuple(mask.bit_count() for mask in masks),
-            members=tuple(tuple(group) for group in members),
+            masks=tuple(sum(map(shift, map(bits.__getitem__, sig))) for sig in groups),
+            sizes=tuple(map(len, groups)),
+            members=tuple(map(tuple, groups.values())),
         )
 
     def indistinguishable_groups(self) -> List[List[Fault]]:
         """Faults with identical (non-empty) signatures — the resolution
-        limit of this dictionary on this test set."""
-        return [list(group) for group in self.classes.members if len(group) > 1]
+        limit of this dictionary on this test set — each group in fault
+        order, groups by their first faults."""
+        return sorted(
+            (sorted(group) for group in self.classes.members if len(group) > 1),
+            key=itemgetter(0),
+        )
 
 
 @dataclass(frozen=True)
@@ -145,9 +164,7 @@ class PassFailDictionary(FaultDictionary):
     kind = "passfail"
 
 
-def _signature_of(kind: str, failures: Tuple[Failure, ...]) -> FrozenSet:
-    if kind == "full":
-        return frozenset(failures)
+def _failing_cycles(failures: Tuple[Failure, ...]) -> FrozenSet[int]:
     return frozenset(cycle for cycle, _ in failures)
 
 
@@ -159,21 +176,34 @@ def assemble_dictionary(
 ) -> FaultDictionary:
     """Fold a per-fault response map into a dictionary of *kind*.
 
-    The shared final step of :func:`build_dictionary` and the on-disk
-    decoder (:mod:`repro.diagnosis.store`) — one code path guarantees a
-    decoded dictionary matches a freshly built one bit-for-bit.
+    The final step of :func:`build_dictionary`: it puts the map in fault
+    order and folds it with :func:`fold_ordered`, the fold the on-disk
+    decoder (:mod:`repro.diagnosis.store`) shares — one code path
+    guarantees a decoded dictionary matches a freshly built one
+    bit-for-bit.
     """
+    ordered = sorted(responses.items(), key=itemgetter(0))
+    return fold_ordered(circuit_name, num_vectors, ordered, kind)
+
+
+def fold_ordered(
+    circuit_name: str,
+    num_vectors: int,
+    ordered: Iterable[Tuple[Fault, Tuple[Failure, ...]]],
+    kind: str = "full",
+) -> FaultDictionary:
+    """Fold ``(fault, failures)`` pairs, already in fault order, into a
+    dictionary of *kind* (see :func:`assemble_dictionary`)."""
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"unknown dictionary kind {kind!r}")
-    signatures = {
-        fault: _signature_of(kind, failures)
-        for fault, failures in sorted(responses.items())
-    }
+    signature_of: Callable[[Tuple[Failure, ...]], FrozenSet] = (
+        frozenset if kind == "full" else _failing_cycles
+    )
     cls = FullResponseDictionary if kind == "full" else PassFailDictionary
     return cls(
         circuit_name=circuit_name,
         num_vectors=num_vectors,
-        signatures=signatures,
+        signatures={fault: signature_of(failures) for fault, failures in ordered},
     )
 
 

@@ -11,7 +11,9 @@ flaky failures).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import count
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
@@ -82,32 +84,40 @@ def diagnose(
 
     Faults with one signature score alike, so each signature class of
     :attr:`FaultDictionary.classes` is scored once, from the popcount of
-    its mask and the observation's, and its members are listed only while
-    the class can still reach the top *top*.
+    its mask and the observation's, and its members are listed only when
+    the class can reach the top *top*.
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
     observed = frozenset(observed_failures)
     classes = dictionary.classes
     query = classes.query_mask(observed)
-    ranked: List[Tuple[float, int, int]] = []
-    for index, (mask, size) in enumerate(zip(classes.masks, classes.sizes)):
-        matched = (mask & query).bit_count()
-        if matched:
-            # failures in the observation or the signature or both
-            union = len(observed) + size - matched
-            ranked.append((-(matched / union), index, matched))
-    ranked.sort()  # best score first; ties in first-member (fault) order
+    seen = len(observed)
+    # One pass scores every class that shares a failure with the query;
+    # the union is the failures in the observation or the signature or both.
+    ranked: List[Tuple[float, int, int]] = [
+        (-(matched / (seen + size - matched)), index, matched)
+        for index, mask, size in zip(count(), classes.masks, classes.sizes)
+        if (matched := (mask & query).bit_count())
+    ]
+    # The cut is the score of the top-th fault when classes are listed best
+    # first: a class places when it scores at least that.  Each class holds
+    # a fault, so the cut lies among the best *top* classes, and only those
+    # are ordered to find it.
+    cut = 0.0  # every negated score is below 0: without a cut, all place
+    placed = 0
+    for negated, index, _ in heapq.nsmallest(top, ranked):
+        placed += len(classes.members[index])
+        if placed >= top:
+            cut = negated
+            break
     candidates: List[Candidate] = []
-    for negated, index, matched in ranked:
-        score = -negated
-        if len(candidates) >= top and score < candidates[top - 1].score:
-            break  # classes come in score order: none after this can place
-        missed = len(observed) - matched
+    for negated, index, matched in [entry for entry in ranked if entry[0] <= cut]:
+        missed = seen - matched
         extra = classes.sizes[index] - matched
         exact = missed == 0 and extra == 0
         candidates.extend(
-            Candidate(fault, score, exact, matched, missed, extra)
+            Candidate(fault, -negated, exact, matched, missed, extra)
             for fault in classes.members[index]
         )
     candidates.sort(key=lambda c: (-c.score, c.fault))

@@ -23,18 +23,22 @@ makes their outputs byte-identical for the same query.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from itertools import chain, islice
+from operator import itemgetter, lt
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.diagnosis.dictionary import (
     DICTIONARY_KINDS,
     FaultDictionary,
-    assemble_dictionary,
+    fold_ordered,
 )
 from repro.diagnosis.locate import DiagnosisResult
-from repro.faults.model import Fault, FaultKind, StuckAtFault, fault_name
+from repro.faults.model import OUTPUT_PIN, Fault, FaultKind, StuckAtFault, fault_name
 from repro.logic.values import value_to_char
 from repro.patterns.vectors import TestSequence
 from repro.result import Failure
@@ -44,9 +48,29 @@ from repro.robust.checkpoint import circuit_fingerprint
 SCHEMA = "repro-dict/1"
 
 
+#: The fault kinds a dictionary holds, by the names artifacts store.
+_STUCK_AT_KINDS = {
+    kind.value: kind for kind in (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1)
+}
+
+#: Manifest fields and the JSON types their values must have.
+_MANIFEST_FIELDS: Dict[str, tuple] = {
+    "circuit": (str,),
+    "kind": (str,),
+    "collapse": (str, type(None)),
+    "num_vectors": (int,),
+    "num_faults": (int,),
+    "num_detected": (int,),
+}
+
+
 def _canonical(document: object) -> bytes:
+    # Documents are built here from fresh lists and tuples, never cyclic.
     return (
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        json.dumps(
+            document, sort_keys=True, separators=(",", ":"), check_circular=False
+        )
+        + "\n"
     ).encode("ascii")
 
 
@@ -92,11 +116,9 @@ def encode_dictionary(
     """Encode a per-fault response map as a ``repro-dict/1`` artifact."""
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"unknown dictionary kind {kind!r}")
-    ordered = sorted(responses.items())
-    faults = [[fault.gate, fault.pin, fault.kind.value] for fault, _ in ordered]
-    failing = [
-        [[cycle, position] for cycle, position in failures] for _, failures in ordered
-    ]
+    ordered = sorted(responses.items(), key=itemgetter(0))
+    # Tuples encode as JSON arrays, so the response tuples go in as they are.
+    failing = [failures for _, failures in ordered]
     document = {
         "schema": SCHEMA,
         "manifest": {
@@ -105,68 +127,184 @@ def encode_dictionary(
             "collapse": collapse,
             "num_vectors": num_vectors,
             "num_faults": len(ordered),
-            "num_detected": sum(1 for _, failures in ordered if failures),
+            "num_detected": sum(map(bool, failing)),
         },
-        "faults": faults,
+        "faults": [fault._sort_key() for fault, _ in ordered],
         "responses": failing,
     }
     return _canonical(document)
 
 
 def read_manifest(blob: bytes) -> dict:
-    """The artifact's manifest (schema-checked), without building anything."""
-    document = _parse(blob)
-    return dict(document["manifest"])
+    """The artifact's manifest, without building a dictionary.
+
+    The whole artifact is checked as :func:`decode_dictionary` checks it,
+    so a malformed one raises :class:`DictionaryDecodeError` here too.
+    """
+    manifest, _faults, _responses = _decode(blob)
+    return manifest
 
 
-def _parse(blob: bytes) -> dict:
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its state.
+
+    A decode builds one large acyclic structure (about 100k lists and as
+    many tuples for the s1196 dictionary of the ``diagnose-vsim``
+    benchmark).  Collector passes over it free nothing, and they took 40 %
+    of that decode.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        document = json.loads(blob)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise DictionaryDecodeError(f"not a JSON artifact: {exc}") from None
-    if not isinstance(document, dict) or document.get("schema") != SCHEMA:
-        raise DictionaryDecodeError(
-            f"expected a {SCHEMA!r} artifact, got schema "
-            f"{document.get('schema') if isinstance(document, dict) else None!r}"
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode(blob: bytes) -> Tuple[dict, List[Fault], List[Tuple[Failure, ...]]]:
+    """Parse and check an artifact: its manifest, faults and responses.
+
+    The one parse behind every reader.  Anything :func:`encode_dictionary`
+    could not have written raises :class:`DictionaryDecodeError`: bad JSON,
+    another schema, a missing or mistyped manifest field, a fault that is
+    not a ``[gate, pin, stuck-at kind]`` triple of ints and a name, faults
+    out of order or repeated, a response that is not a list of
+    ``[cycle, output_position]`` int pairs with the cycle in
+    ``1..num_vectors``, or counts that disagree with the manifest.
+    """
+    with _collector_paused():
+        try:
+            document = json.loads(blob)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise DictionaryDecodeError(f"not a JSON artifact: {exc}") from None
+        if not isinstance(document, dict) or document.get("schema") != SCHEMA:
+            raise DictionaryDecodeError(
+                f"expected a {SCHEMA!r} artifact, got schema "
+                f"{document.get('schema') if isinstance(document, dict) else None!r}"
+            )
+        for field in ("manifest", "faults", "responses"):
+            if field not in document:
+                raise DictionaryDecodeError(f"artifact missing {field!r}")
+        manifest = _checked_manifest(document["manifest"])
+        faults = _checked_faults(document["faults"])
+        responses = _checked_responses(
+            document["responses"], manifest["num_vectors"]
         )
-    for field in ("manifest", "faults", "responses"):
-        if field not in document:
-            raise DictionaryDecodeError(f"artifact missing {field!r}")
-    if len(document["faults"]) != len(document["responses"]):
+    if not len(faults) == len(responses) == manifest["num_faults"]:
         raise DictionaryDecodeError(
             "artifact corrupt: fault and response counts differ"
         )
-    return document
+    if sum(map(bool, responses)) != manifest["num_detected"]:
+        raise DictionaryDecodeError(
+            "artifact corrupt: num_detected disagrees with the responses"
+        )
+    return manifest, faults, responses
+
+
+def _checked_manifest(manifest: object) -> dict:
+    if not isinstance(manifest, dict):
+        raise DictionaryDecodeError("artifact corrupt: manifest is not an object")
+    for field, types in _MANIFEST_FIELDS.items():
+        if field not in manifest:
+            raise DictionaryDecodeError(f"artifact manifest missing {field!r}")
+        value = manifest[field]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise DictionaryDecodeError(
+                f"artifact corrupt: manifest {field!r} is {value!r}"
+            )
+    if manifest["kind"] not in DICTIONARY_KINDS:
+        raise DictionaryDecodeError(
+            f"artifact corrupt: unknown dictionary kind {manifest['kind']!r}"
+        )
+    if manifest["num_vectors"] < 0:
+        raise DictionaryDecodeError("artifact corrupt: negative num_vectors")
+    return manifest
+
+
+def _checked_faults(triples: object) -> List[Fault]:
+    """The artifact's faults, in its (checked) order."""
+    if not isinstance(triples, list):
+        raise DictionaryDecodeError("artifact corrupt: faults is not a list")
+    malformed = DictionaryDecodeError(
+        "artifact corrupt: each fault must be a [gate, pin, kind] triple "
+        "of a gate index, a pin and a stuck-at kind name"
+    )
+    kinds = _STUCK_AT_KINDS
+    try:
+        # Triples of another shape or kind raise; mistyped ones are left out
+        # and caught by the count below (``int()`` would accept "1" or 1.5).
+        faults: List[Fault] = [
+            StuckAtFault(gate, pin, kinds[name])
+            for gate, pin, name in triples
+            if type(gate) is int
+            and type(pin) is int
+            and gate >= 0
+            and pin >= OUTPUT_PIN
+        ]
+    except (TypeError, ValueError, KeyError):
+        raise malformed from None
+    if len(faults) != len(triples):
+        raise malformed
+    if not all(map(lt, faults, islice(faults, 1, None))):
+        raise DictionaryDecodeError(
+            "artifact corrupt: faults out of order or repeated"
+        )
+    return faults
+
+
+def _checked_responses(
+    entries: object, num_vectors: int
+) -> List[Tuple[Failure, ...]]:
+    """The artifact's response tuples, built straight from the parsed lists."""
+    if not isinstance(entries, list):
+        raise DictionaryDecodeError("artifact corrupt: responses is not a list")
+    malformed = DictionaryDecodeError(
+        "artifact corrupt: each response must be a list of "
+        f"[cycle, output_position] int pairs with cycles in 1..{num_vectors}"
+    )
+    try:
+        responses: List[Tuple[Failure, ...]] = [
+            tuple(map(tuple, entry)) for entry in entries
+        ]
+    except TypeError:
+        raise malformed from None
+    # Whole-list checks in C, so a check costs no Python step per failure.
+    pairs = list(chain.from_iterable(responses))
+    if pairs and not (
+        set(map(len, pairs)) == {2}
+        and set(map(type, chain.from_iterable(pairs))) == {int}
+        and min(map(itemgetter(0), pairs)) >= 1
+        and max(map(itemgetter(0), pairs)) <= num_vectors
+        and min(map(itemgetter(1), pairs)) >= 0
+    ):
+        raise malformed
+    return responses
 
 
 def decode_responses(blob: bytes) -> Dict[Fault, Tuple[Failure, ...]]:
     """The artifact's raw per-fault response map (full resolution)."""
-    document = _parse(blob)
-    responses: Dict[Fault, Tuple[Failure, ...]] = {}
-    for triple, failures in zip(document["faults"], document["responses"]):
-        gate, pin, kind_value = triple
-        fault = StuckAtFault(int(gate), int(pin), FaultKind(kind_value))
-        responses[fault] = tuple(
-            (int(cycle), int(position)) for cycle, position in failures
-        )
-    return responses
+    _manifest, faults, responses = _decode(blob)
+    return dict(zip(faults, responses))
 
 
 def decode_dictionary(blob: bytes, kind: Optional[str] = None) -> FaultDictionary:
     """Rebuild a :class:`FaultDictionary` from artifact bytes.
 
     ``kind`` overrides the manifest's format tag — responses are stored
-    at full resolution, so one artifact can serve either format.  Decoding
-    goes through the same :func:`~repro.diagnosis.dictionary.assemble_dictionary`
-    path as a fresh build, so decoded and built dictionaries agree
-    bit-for-bit.
+    at full resolution, so one artifact can serve either format.  The
+    blob is parsed once, and its checked faults are in fault order, so
+    they go straight into the same
+    :func:`~repro.diagnosis.dictionary.fold_ordered` fold as a fresh build
+    (:func:`~repro.diagnosis.dictionary.assemble_dictionary`) without a
+    second sort: decoded and built dictionaries agree bit-for-bit.
     """
-    document = _parse(blob)
-    manifest = document["manifest"]
-    return assemble_dictionary(
+    manifest, faults, responses = _decode(blob)
+    return fold_ordered(
         manifest["circuit"],
-        int(manifest["num_vectors"]),
-        decode_responses(blob),
+        manifest["num_vectors"],
+        zip(faults, responses),
         kind if kind is not None else manifest["kind"],
     )
 

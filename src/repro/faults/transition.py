@@ -29,7 +29,7 @@ from repro.logic.tables import GateType
 from repro.logic.values import ONE, X, ZERO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionFault(Fault):
     """A slow-to-rise or slow-to-fall fault on a line."""
 

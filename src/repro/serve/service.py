@@ -789,7 +789,7 @@ class FaultSimService:
                 self.metrics.phase(
                     "dictionary_build", time.perf_counter() - serialize_started
                 )
-                record.summary = _dictionary_summary(blob)
+                record.summary = _summary_from_blob(blob, cached=False)
             else:
                 record.summary = result.summary()
             self._finish(
@@ -1106,10 +1106,7 @@ class FaultSimService:
                 pass
 
 
-def _dictionary_summary(blob: bytes) -> str:
-    from repro.diagnosis.store import read_manifest
-
-    manifest = read_manifest(blob)
+def _dictionary_summary(manifest: dict) -> str:
     return (
         f"dictionary[{manifest['kind']}]: "
         f"{manifest['num_detected']}/{manifest['num_faults']} faults detected "
@@ -1118,9 +1115,10 @@ def _dictionary_summary(blob: bytes) -> str:
 
 
 def _summary_from_blob(blob: bytes, cached: bool) -> str:
+    """The job summary of a result this service wrote, from one parse."""
     document = json.loads(blob)
     if isinstance(document, dict) and document.get("schema") == "repro-dict/1":
-        text = _dictionary_summary(blob)
+        text = _dictionary_summary(document["manifest"])
     else:
         text = (
             f"{document['engine']}: "

@@ -21,9 +21,7 @@ from repro.vector.packing import (
     MIN_WORD_WIDTH,
     broadcast_word,
     evaluate_gate_word,
-    get_slot,
     pack_values,
-    set_slot,
     unpack_values,
     validate_word_width,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "MIN_WORD_WIDTH",
     "broadcast_word",
     "evaluate_gate_word",
-    "get_slot",
     "pack_values",
-    "set_slot",
     "unpack_values",
     "validate_word_width",
     "AXIS_MODES",

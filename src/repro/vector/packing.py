@@ -87,28 +87,6 @@ def unpack_values(ones: int, xs: int, width: int) -> List[int]:
     return values
 
 
-def get_slot(ones: int, xs: int, slot: int) -> int:
-    """The logic value in one bit slot of a two-mask word."""
-    bit = 1 << slot
-    if ones & bit:
-        return ONE
-    if xs & bit:
-        return X
-    return ZERO
-
-
-def set_slot(ones: int, xs: int, slot: int, value: int) -> Tuple[int, int]:
-    """A copy of the word with one slot replaced by *value*."""
-    bit = 1 << slot
-    ones &= ~bit
-    xs &= ~bit
-    if value == ONE:
-        ones |= bit
-    elif value == X:
-        xs |= bit
-    return (ones, xs)
-
-
 def evaluate_gate_word(
     gtype: GateType, operands: Sequence[Tuple[Any, Any]], mask: Any
 ) -> Tuple[Any, Any]:

@@ -53,6 +53,8 @@ from repro.faults.universe import all_stuck_at_faults
 from repro.patterns.random_gen import random_sequence
 from repro.robust.budget import Budget
 from repro.serve import FaultSimService, ServeConfig, SpecError
+from tests.test_golden import CIRCUITS as GOLDEN_CIRCUITS
+from tests.test_golden import NUM_VECTORS, _read, answer_path, parse_responses
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +364,73 @@ class TestHypothesisInvariance:
         assert full.signatures == reference.signatures
 
 
+def small_artifact() -> dict:
+    """A valid two-fault ``repro-dict/1`` document over four vectors."""
+    responses = {
+        StuckAtFault.make(1, -1, 0): ((1, 0), (2, 0)),
+        StuckAtFault.make(2, 0, 1): (),
+    }
+    return json.loads(encode_dictionary("toy", 4, responses))
+
+
+def _blob(document: dict) -> bytes:
+    return json.dumps(document).encode()
+
+
+def _put(path, value):
+    """A mutation that writes *value* at *path* (keys and indexes)."""
+
+    def mutate(document):
+        *parents, last = path
+        target = document
+        for key in parents:
+            target = target[key]
+        target[last] = value
+
+    return mutate
+
+
+def _one_fault_failing_5(document):
+    """One fault whose responses are ``[[5]]``: a failure that is no pair."""
+    document["faults"] = document["faults"][:1]
+    document["responses"] = [[5]]
+    document["manifest"].update(num_faults=1, num_detected=1)
+
+
+def _swap_faults(document):
+    for field in ("faults", "responses"):
+        document[field].reverse()
+
+
+#: Artifacts the encoder could not have written, each as a mutation of
+#: :func:`small_artifact`; every reader must raise DictionaryDecodeError.
+MALFORMED = {
+    "responses-[[5]]": _one_fault_failing_5,
+    "failure-not-a-pair": _put(("responses", 0), [5]),
+    "failure-of-three": _put(("responses", 0, 0), [1, 0, 0]),
+    "cycle-as-float": _put(("responses", 0, 0, 0), 1.5),
+    "cycle-as-bool": _put(("responses", 0, 0, 0), True),
+    "cycle-zero": _put(("responses", 0, 0, 0), 0),
+    "cycle-past-vectors": _put(("responses", 0, 0, 0), 5),
+    "negative-position": _put(("responses", 0, 0, 1), -1),
+    "responses-not-a-list": _put(("responses",), "x"),
+    "manifest-empty": _put(("manifest",), {}),
+    "manifest-not-an-object": _put(("manifest",), []),
+    "manifest-unknown-kind": _put(("manifest", "kind"), "tiny"),
+    "manifest-vectors-as-string": _put(("manifest", "num_vectors"), "4"),
+    "manifest-num-faults-wrong": _put(("manifest", "num_faults"), 3),
+    "manifest-num-detected-wrong": _put(("manifest", "num_detected"), 2),
+    "gate-as-string": _put(("faults", 0, 0), "1"),
+    "pin-below-output": _put(("faults", 0, 1), -2),
+    "fault-pair": _put(("faults", 0), [1, -1]),
+    "transition-kind": _put(("faults", 0, 2), "STR"),
+    "unknown-kind": _put(("faults", 0, 2), "SAX"),
+    "faults-not-a-list": _put(("faults",), {}),
+    "faults-out-of-order": _swap_faults,
+    "fault-repeated": _put(("faults", 1), [1, -1, "SA0"]),
+}
+
+
 class TestArtifacts:
     def test_round_trip(self, s27):
         circuit, tests = s27
@@ -408,6 +477,29 @@ class TestArtifacts:
         ).encode()
         with pytest.raises(DictionaryDecodeError):
             decode_dictionary(torn)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_every_reader_classifies_malformed_artifacts(self, case):
+        document = small_artifact()
+        for reader in (decode_dictionary, decode_responses, read_manifest):
+            reader(_blob(document))  # the untouched artifact reads
+        MALFORMED[case](document)
+        blob = _blob(document)
+        for reader in (decode_dictionary, decode_responses, read_manifest):
+            with pytest.raises(DictionaryDecodeError):
+                reader(blob)
+
+    @pytest.mark.parametrize("name", GOLDEN_CIRCUITS)
+    def test_encode_inverts_decode_on_golden_responses(self, name):
+        circuit = load(name)
+        responses = parse_responses(circuit, _read(answer_path(name)))
+        blob = encode_dictionary(
+            name, NUM_VECTORS, responses, collapse="equivalence"
+        )
+        assert decode_responses(blob) == responses
+        assert encode_dictionary(
+            name, NUM_VECTORS, decode_responses(blob), collapse="equivalence"
+        ) == blob
 
     def test_write_read_atomic(self, s27, tmp_path):
         circuit, tests = s27
@@ -748,6 +840,20 @@ class TestEndToEndRoundTrip:
         )
         assert cached.stdout == fresh.stdout
         assert b"loaded from" in cached.stderr
+
+    def test_cli_rejects_a_malformed_artifact(self, tmp_path, capsys):
+        from repro.cli import main
+
+        document = small_artifact()
+        MALFORMED["failure-not-a-pair"](document)
+        artifact = tmp_path / "bad.dict"
+        artifact.write_bytes(_blob(document))
+        code = main([
+            "diagnose", "s27", "--random-patterns", "40", "--seed", "3",
+            "--dictionary", str(artifact), "--failures", "5:0",
+        ])
+        assert code == 2
+        assert "artifact corrupt" in capsys.readouterr().err
 
 
 class TestExplain:

@@ -1,14 +1,20 @@
 """Fault model, universe enumeration, and equivalence collapsing."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.serial import simulate_serial
 from repro.circuit.generate import random_circuit
 from repro.circuit.library import load
 from repro.faults.collapse import collapse_stuck_at, representative_map, stuck_at_union
-from repro.faults.model import OUTPUT_PIN, FaultKind, StuckAtFault, fault_name
+from repro.faults.model import OUTPUT_PIN, Fault, FaultKind, StuckAtFault, fault_name
+from repro.faults.transition import TransitionFault
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.logic.tables import GateType
 from repro.patterns.random_gen import random_sequence
@@ -56,6 +62,108 @@ class TestModel:
         assert fault in {fault}
         with pytest.raises(Exception):
             fault.gate = 5  # type: ignore[misc]
+
+
+TRANSITION_KINDS = (FaultKind.SLOW_TO_RISE, FaultKind.SLOW_TO_FALL)
+
+
+def _fault(gate: int, pin: int, kind: FaultKind) -> Fault:
+    cls = TransitionFault if kind in TRANSITION_KINDS else StuckAtFault
+    return cls(gate, pin, kind)
+
+
+faults_strategy = st.builds(
+    _fault,
+    st.integers(0, 40),
+    st.integers(OUTPUT_PIN, 4),
+    st.sampled_from(list(FaultKind)),
+)
+
+#: ``pickle.dumps(table, protocol=4)`` of the table below, written by the
+#: code before faults hashed on ints: checkpoints of that age hold such
+#: bytes, and they must still load into working ``Fault``-keyed maps.
+OLD_PICKLED_TABLE = (
+    b"\x80\x04\x95\x04\x01\x00\x00\x00\x00\x00\x00}\x94(\x8c\x12repro.faults"
+    b".model\x94\x8c\x0cStuckAtFault\x94\x93\x94)\x81\x94}\x94(\x8c\x04gate"
+    b"\x94K\x03\x8c\x03pin\x94J\xff\xff\xff\xff\x8c\x04kind\x94h\x01\x8c\tFa"
+    b"ultKind\x94\x93\x94\x8c\x03SA0\x94\x85\x94R\x94ub\x8c\x01a\x94h\x03)"
+    b"\x81\x94}\x94(h\x06K\x03h\x07K\x01h\x08h\n\x8c\x03SA1\x94\x85\x94R\x94"
+    b"ub\x8c\x01b\x94\x8c\x17repro.faults.transition\x94\x8c\x0fTransitionF"
+    b"ault\x94\x93\x94)\x81\x94}\x94(h\x06K\x07h\x07K\x00h\x08h\n\x8c\x03STR"
+    b"\x94\x85\x94R\x94ub\x8c\x01c\x94h\x17)\x81\x94}\x94(h\x06K\x07h\x07K"
+    b"\x00h\x08h\n\x8c\x03STF\x94\x85\x94R\x94ub\x8c\x01d\x94u."
+)
+
+
+def old_table():
+    return {
+        StuckAtFault(3, OUTPUT_PIN, FaultKind.STUCK_AT_0): "a",
+        StuckAtFault(3, 1, FaultKind.STUCK_AT_1): "b",
+        TransitionFault(7, 0, FaultKind.SLOW_TO_RISE): "c",
+        TransitionFault(7, 0, FaultKind.SLOW_TO_FALL): "d",
+    }
+
+
+class TestIdentity:
+    """Fault hashing, equality and order: the keys of every fault map."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(faults_strategy, max_size=40))
+    def test_sorted_order_is_sort_key_order(self, faults):
+        assert [f._sort_key() for f in sorted(faults)] == sorted(
+            f._sort_key() for f in faults
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(faults_strategy, faults_strategy)
+    def test_comparisons_follow_sort_key(self, a, b):
+        ka, kb = a._sort_key(), b._sort_key()
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+        assert (a == b) == (ka == kb)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_equality_needs_the_same_class(self):
+        assert Fault(1, 0, FaultKind.STUCK_AT_0) != StuckAtFault(1, 0, FaultKind.STUCK_AT_0)
+        assert StuckAtFault(1, 0, FaultKind.STUCK_AT_0) == StuckAtFault.make(1, 0, 0)
+
+    def test_hash_is_the_same_in_every_process(self):
+        code = (
+            "from repro.faults.model import StuckAtFault, OUTPUT_PIN\n"
+            "from repro.faults.transition import TransitionFault\n"
+            "print(hash(StuckAtFault.make(12, OUTPUT_PIN, 1)),"
+            " hash(TransitionFault.make(5, 2, True)))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        printed = []
+        for hash_seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = hash_seed
+            completed = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, env=env, check=True
+            )
+            printed.append(completed.stdout)
+        assert printed[0] == printed[1]
+        assert printed[0].split() == [
+            str(hash(StuckAtFault.make(12, OUTPUT_PIN, 1))).encode(),
+            str(hash(TransitionFault.make(5, 2, True))).encode(),
+        ]
+
+    def test_pickle_round_trip(self):
+        for fault in old_table():
+            copy = pickle.loads(pickle.dumps(fault, protocol=pickle.HIGHEST_PROTOCOL))
+            assert type(copy) is type(fault)
+            assert copy == fault
+            assert hash(copy) == hash(fault)
+
+    def test_map_pickled_before_int_hashing_still_loads(self):
+        loaded = pickle.loads(OLD_PICKLED_TABLE)
+        table = old_table()
+        assert loaded == table
+        assert [type(fault) for fault in loaded] == [type(fault) for fault in table]
+        for fault, value in table.items():
+            assert loaded[fault] == value
 
 
 class TestUniverse:

@@ -37,9 +37,7 @@ from repro.vector.packing import (
     MIN_WORD_WIDTH,
     broadcast_word,
     evaluate_gate_word,
-    get_slot,
     pack_values,
-    set_slot,
     unpack_values,
     validate_word_width,
 )
@@ -94,13 +92,6 @@ class TestPacking:
     def test_pack_rejects_garbage(self):
         with pytest.raises(ValueError, match="slot 1"):
             pack_values([ONE, 7])
-
-    def test_slot_accessors(self):
-        ones, xs = pack_values([ZERO, ONE, X])
-        assert [get_slot(ones, xs, s) for s in range(3)] == [ZERO, ONE, X]
-        ones, xs = set_slot(ones, xs, 0, X)
-        ones, xs = set_slot(ones, xs, 1, ZERO)
-        assert unpack_values(ones, xs, 3) == [X, ZERO, X]
 
     @pytest.mark.parametrize("value,expected", [
         (ZERO, (0, 0)), (ONE, (0b1111, 0)), (X, (0, 0b1111)),
