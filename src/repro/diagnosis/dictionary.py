@@ -37,16 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
@@ -164,7 +155,9 @@ class PassFailDictionary(FaultDictionary):
     kind = "passfail"
 
 
-def _failing_cycles(failures: Tuple[Failure, ...]) -> FrozenSet[int]:
+def _signature_of(kind: str, failures: Tuple[Failure, ...]) -> FrozenSet:
+    if kind == "full":
+        return frozenset(failures)
     return frozenset(cycle for cycle, _ in failures)
 
 
@@ -196,14 +189,14 @@ def fold_ordered(
     dictionary of *kind* (see :func:`assemble_dictionary`)."""
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"unknown dictionary kind {kind!r}")
-    signature_of: Callable[[Tuple[Failure, ...]], FrozenSet] = (
-        frozenset if kind == "full" else _failing_cycles
-    )
+    signatures = {
+        fault: _signature_of(kind, failures) for fault, failures in ordered
+    }
     cls = FullResponseDictionary if kind == "full" else PassFailDictionary
     return cls(
         circuit_name=circuit_name,
         num_vectors=num_vectors,
-        signatures={fault: signature_of(failures) for fault, failures in ordered},
+        signatures=signatures,
     )
 
 
