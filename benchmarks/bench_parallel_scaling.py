@@ -34,18 +34,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import benchlib
 
 from repro.harness.runner import run_stuck_at, workload_circuit, workload_tests
-from repro.parallel.sharding import STRATEGIES
 
 
-def measure(circuit, tests, jobs, strategy, repeats):
+def measure(circuit, tests, jobs, repeats):
     """Best-of-*repeats* wall seconds plus the (deterministic) result."""
     best = None
     result = None
     for _ in range(repeats):
         started = time.perf_counter()
-        result = run_stuck_at(
-            circuit, tests, "csim-MV", jobs=jobs, shard_strategy=strategy
-        )
+        result = run_stuck_at(circuit, tests, "csim-MV", jobs=jobs)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -63,9 +60,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="K",
         help="worker counts to measure (default 1 2 4; --quick: 1 2)",
-    )
-    parser.add_argument(
-        "--shard-strategy", choices=STRATEGIES, default="level-balanced"
     )
     parser.add_argument("--repeats", type=int, default=2, help="best-of repeats")
     parser.add_argument(
@@ -91,7 +85,7 @@ def main(argv=None) -> int:
     base_wall = None
     base_result = None
     for jobs in worker_counts:
-        wall, result = measure(circuit, tests, jobs, args.shard_strategy, repeats)
+        wall, result = measure(circuit, tests, jobs, repeats)
         if base_result is None:
             base_wall, base_result = wall, result
         else:
@@ -120,7 +114,6 @@ def main(argv=None) -> int:
             "circuit": circuit_name,
             "scale": scale,
             "patterns": patterns,
-            "strategy": args.shard_strategy,
             "cpu_count": multiprocessing.cpu_count(),
         },
         samples=[

@@ -14,10 +14,10 @@ word engine, and records three things into ``BENCH_vector_speedup.json``:
   event-driven fault axis wins) — run with the axis fixed to ``fault``,
   fixed to ``pattern``, and under the auto scheduler, which should beat
   both fixed choices on the total;
-* the :func:`repro.vector.scheduler.predict_axes` mix for a
-  work-stealing partition of the big job, showing the two-dimensional
-  composition (big shards start fault-axis, small shards pattern-axis
-  under the scalar cost model, and vice versa under the dense one).
+* the :func:`repro.vector.scheduler.predict_axes` mix for a 16-shard
+  partition of the big job, showing the two-dimensional composition
+  (big shards start fault-axis, small shards pattern-axis under the
+  scalar cost model, and vice versa under the dense one).
 
 Usage::
 
@@ -42,7 +42,7 @@ import benchlib
 
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import run_stuck_at, workload_circuit
-from repro.parallel.sharding import shard_faults
+from repro.parallel import plan_shards
 from repro.patterns.random_gen import random_sequence
 from repro.vector import plane
 from repro.vector.scheduler import predict_axes
@@ -174,8 +174,8 @@ def measure_ablation(quick, repeats):
         totals[axis] = round(sum(walls), 4)
         job_walls[axis] = [round(wall, 4) for wall in walls]
 
-    big_circuit, _, big_faults = jobs[0]
-    shards = shard_faults(big_circuit, big_faults, jobs=4, strategy="work-stealing")
+    _, _, big_faults = jobs[0]
+    shards = plan_shards(big_faults, 16)
     live_counts = [len(shard) for shard in shards]
     return {
         "word_width": width,

@@ -93,7 +93,6 @@ class Campaign:
     ladder: Optional[Tuple[str, ...]] = None
     # execution settings
     jobs: int = 1
-    shard_strategy: str = "round-robin"
     budget: Optional[Budget] = None
     checkpoint_path: Optional[str] = None
     resume: bool = False
@@ -247,11 +246,13 @@ def shard_campaign(
     collapse map, the full universe nor the tracer, so it pickles small.
     Its universe's identity extends the campaign's with the shard's
     position in the partition, so its checkpoints stay bound to the
-    collapse map and never resume under another partition.  The
-    checkpoint resumes only when the file exists; the other shards of a
-    killed campaign start fresh.
+    collapse map and never resume under another partition; the literal
+    ``"round-robin"`` names the partition, so the shard fingerprints stay
+    those ``tests/golden/identity.json`` pins.  The checkpoint resumes
+    only when the file exists; the other shards of a killed campaign
+    start fresh.
     """
-    identity = universe.identity + ("shard", campaign.shard_strategy, *position)
+    identity = universe.identity + ("shard", "round-robin", *position)
     return replace(
         campaign,
         faults=None,

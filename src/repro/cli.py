@@ -44,7 +44,6 @@ from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults
 from repro.harness.reporting import format_table
 from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES
-from repro.parallel.sharding import STRATEGIES
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import format_vectors, parse_vectors
@@ -230,12 +229,6 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="shard the fault universe over K worker processes (default 1)",
     )
-    parser.add_argument(
-        "--shard-strategy",
-        choices=STRATEGIES,
-        default="round-robin",
-        help="fault partition strategy under --jobs (default round-robin)",
-    )
 
 
 def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
@@ -278,7 +271,6 @@ def _run_campaign(args, circuit, tests, tracer, cli_trace, **fields):
         collapse=args.collapse,
         sanitize=args.sanitize,
         jobs=args.jobs,
-        shard_strategy=args.shard_strategy,
         budget=_make_budget(args),
         checkpoint_path=args.checkpoint,
         resume=args.resume,
@@ -456,7 +448,6 @@ def _build_dictionary_blob(args, circuit, tests) -> bytes:
         kind=args.kind,
         engine=args.engine,
         jobs=args.jobs,
-        shard_strategy=args.shard_strategy,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         checkpoint_every=args.checkpoint_every,
@@ -476,12 +467,39 @@ def _dictionary_for(args, circuit, tests):
     path = args.dictionary
     if path and os.path.exists(path):
         print(f"# dictionary: loaded from {path}", file=sys.stderr)
-        return decode_dictionary(read_dictionary(path), kind=args.kind)
+        dictionary = decode_dictionary(read_dictionary(path), kind=args.kind)
+        _check_artifact_fits(path, dictionary, circuit, len(tests))
+        return dictionary
     blob = _build_dictionary_blob(args, circuit, tests)
     if path:
         write_dictionary(path, blob)
         print(f"# dictionary: built and written to {path}", file=sys.stderr)
     return decode_dictionary(blob)
+
+
+def _check_artifact_fits(path, dictionary, circuit, num_vectors) -> None:
+    """Refuse an artifact built for another circuit or test sequence.
+
+    Ranking against it would name gates the query's circuit lacks, or
+    compare failures observed over other vectors.
+    """
+    if dictionary.circuit_name != circuit.name:
+        raise ValueError(
+            f"{path}: dictionary is for circuit {dictionary.circuit_name!r}, "
+            f"not {circuit.name!r}"
+        )
+    if dictionary.num_vectors != num_vectors:
+        raise ValueError(
+            f"{path}: dictionary covers {dictionary.num_vectors} vectors, "
+            f"the query {num_vectors}"
+        )
+    gates = circuit.gates
+    for fault in dictionary.signatures:
+        if fault.gate >= len(gates) or fault.pin >= len(gates[fault.gate].fanin):
+            raise ValueError(
+                f"{path}: dictionary fault at gate {fault.gate} pin {fault.pin} "
+                f"lies outside circuit {circuit.name!r}"
+            )
 
 
 def cmd_build_dictionary(args) -> int:

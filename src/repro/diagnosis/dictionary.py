@@ -221,7 +221,6 @@ def build_responses(
     engine: str = "csim-MV",
     collapse: Optional[str] = "equivalence",
     jobs: int = 1,
-    shard_strategy: str = "round-robin",
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
@@ -253,7 +252,6 @@ def build_responses(
             options=options,
             word_width=word_width,
             jobs=jobs,
-            shard_strategy=shard_strategy,
             budget=budget,
             checkpoint_path=checkpoint_path,
             resume=resume,
@@ -280,7 +278,6 @@ def build_dictionary(
     engine: str = "csim-MV",
     collapse: Optional[str] = "equivalence",
     jobs: int = 1,
-    shard_strategy: str = "round-robin",
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     checkpoint_every: int = 64,
@@ -314,7 +311,6 @@ def build_dictionary(
         engine=engine,
         collapse=collapse,
         jobs=jobs,
-        shard_strategy=shard_strategy,
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint_every=checkpoint_every,

@@ -147,7 +147,6 @@ def run_stuck_at(
     tracer: Optional[Tracer] = None,
     budget=None,
     jobs: int = 1,
-    shard_strategy: str = "round-robin",
     trace_dir: Optional[str] = None,
     trace_ctx=None,
     record_events: bool = False,
@@ -179,7 +178,6 @@ def run_stuck_at(
             word_width=word_width,
             axis_mode=axis_mode,
             jobs=jobs,
-            shard_strategy=shard_strategy,
             budget=budget,
             tracer=tracer,
             trace_dir=trace_dir,
@@ -198,7 +196,6 @@ def run_transition(
     tracer: Optional[Tracer] = None,
     budget=None,
     jobs: int = 1,
-    shard_strategy: str = "round-robin",
     sanitize: bool = False,
     trace_dir: Optional[str] = None,
     trace_ctx=None,
@@ -218,7 +215,6 @@ def run_transition(
             options=SimOptions(split_lists=split_lists),
             sanitize=sanitize,
             jobs=1 if serial else jobs,
-            shard_strategy=shard_strategy,
             budget=budget,
             tracer=tracer,
             trace_dir=trace_dir,

@@ -5,18 +5,19 @@ axis: faulty machines interact with the good machine, never with each
 other, so the universe can be partitioned into shards, each shard
 simulated by an independent engine (in a worker process or in-process),
 and the shard results merged into a campaign result whose detections are
-bit-identical to a single-process run — for any shard count, partition
-strategy, or executor.
+bit-identical to a single-process run — for any shard count or executor.
+The partition is round-robin over the sorted universe
+(:func:`repro.parallel.runner.plan_shards`); since any partition merges
+to the same answer, it only sets load balance.
 
-* :mod:`repro.parallel.sharding` — partition strategies (round-robin,
-  level-balanced, work-stealing) and the activity estimator they share.
 * :mod:`repro.parallel.executor` — the multiprocessing pool and its
   sequential in-process twin, plus the picklable per-shard task.
 * :mod:`repro.parallel.merge` — the deterministic merge (detections,
   counters, telemetry, modelled memory) and its exactness contract.
-* :mod:`repro.parallel.runner` — ``run_parallel``, the sharded backend
-  of :func:`repro.campaign.execute`: partition, execute, merge; composes
-  with budgets, per-shard checkpoints, and resume.
+* :mod:`repro.parallel.runner` — ``plan_shards`` and ``run_parallel``,
+  the sharded backend of :func:`repro.campaign.execute`: partition,
+  execute, merge; composes with budgets, per-shard checkpoints, and
+  resume.
 """
 
 from repro.parallel.executor import (
@@ -36,21 +37,11 @@ from repro.parallel.runner import (
     run_parallel,
     shard_checkpoint_path,
 )
-from repro.parallel.sharding import (
-    DEFAULT_OVERSHARD,
-    STRATEGIES,
-    activity_weights,
-    shard_faults,
-    shard_summary,
-)
 
 __all__ = [
-    "DEFAULT_OVERSHARD",
-    "STRATEGIES",
     "MultiprocessExecutor",
     "SequentialExecutor",
     "ShardTask",
-    "activity_weights",
     "merge_counters",
     "merge_memory",
     "merge_results",
@@ -58,7 +49,5 @@ __all__ = [
     "plan_shards",
     "run_parallel",
     "shard_checkpoint_path",
-    "shard_faults",
-    "shard_summary",
     "simulate_shard",
 ]

@@ -11,10 +11,9 @@ can find it.
 Two executors run task lists:
 
 * :class:`MultiprocessExecutor` — a process pool of ``jobs`` workers
-  consuming tasks as they free up (``imap_unordered``), which is what
-  makes the ``work-stealing`` strategy's oversharded queue dynamic.
-  Results are re-ordered by shard index before returning, so completion
-  order never leaks into the merged result.
+  consuming tasks as they free up (``imap_unordered``).  Results are
+  re-ordered by shard index before returning, so completion order never
+  leaks into the merged result.
 * :class:`SequentialExecutor` — the same tasks in-process, in shard
   order.  The fallback when ``multiprocessing`` is unavailable or
   unwanted (``--jobs 1``), the debug mode (breakpoints work), and the
@@ -154,7 +153,6 @@ def _write_shard_trace(
             shard=task.index,
             total=task.total,
             engine=result.engine,
-            strategy=campaign.shard_strategy,
             faults=len(campaign.universe.faults),
             detected=result.num_detected,
             cycles=counters.cycles,

@@ -1,25 +1,27 @@
 """The fault-sharded backend of :func:`repro.campaign.execute`.
 
 :func:`run_parallel` partitions a campaign's resolved universe into
-shards (:mod:`repro.parallel.sharding`), describes each shard as a
+shards (:func:`plan_shards`), describes each shard as a
 :class:`ShardTask` — its index, the shard count and a shard campaign
 holding the shard's faults and scalar settings
 (:func:`repro.campaign.shard_campaign`) — runs the tasks in ``jobs``
 worker processes or in-process (:mod:`repro.parallel.executor`), and
 merges the shard results deterministically (:mod:`repro.parallel.merge`).
 The merged detections, detection cycles and coverage are bit-identical
-to a single-process run for any shard count, strategy, and executor.
+to a single-process run for any shard count and executor.
 
 Resilience composes with parallelism shard-wise:
 
 * **Checkpoints** — with a campaign ``checkpoint_path`` every shard
   checkpoints its own engine into ``<path>.shardII-of-NN``, bound to the
-  shard's fault subset *and* its (strategy, index, total) position, so
-  resuming under a different sharding configuration is refused rather
-  than silently merged wrong.  A resume resumes the shards whose
-  checkpoint exists (finished shards replay from their final checkpoint
-  without re-simulating) and starts the rest fresh — exactly what a
-  campaign killed mid-run needs.
+  shard's fault subset *and* its (index, total) position.  A resume
+  resumes the shards whose checkpoint exists (finished shards replay
+  from their final checkpoint without re-simulating) and starts the rest
+  fresh — exactly what a campaign killed mid-run needs.  A resume that
+  finds no checkpoint of its own partition (the files on disk were
+  written under another ``jobs``) is refused with
+  :class:`~repro.robust.checkpoint.CheckpointError` rather than silently
+  recomputed.
 * **Budgets** — the budget is armed per shard; any shard's breach marks
   the merged result ``truncated`` (see :mod:`repro.parallel.merge`).
 * **Interrupts** — Ctrl-C surfaces as
@@ -36,7 +38,6 @@ import time
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
-from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.obs.span import SpanWriter, TraceContext
 from repro.parallel.executor import (
@@ -45,9 +46,8 @@ from repro.parallel.executor import (
     ShardTask,
 )
 from repro.parallel.merge import merge_results
-from repro.parallel.sharding import DEFAULT_OVERSHARD, STRATEGIES, shard_faults
 from repro.result import FaultSimResult
-from repro.robust.checkpoint import CampaignInterrupted
+from repro.robust.checkpoint import CampaignInterrupted, CheckpointError, checkpoint_files
 
 if TYPE_CHECKING:
     from repro.campaign import Campaign, Universe
@@ -64,14 +64,23 @@ def shard_checkpoint_path(base: str, index: int, total: int) -> str:
     return f"{base}.shard{index:02d}-of-{total:02d}"
 
 
-def plan_shards(
-    circuit: Circuit,
-    faults: Sequence[Fault],
-    jobs: int,
-    shard_strategy: str = "round-robin",
-) -> List[list]:
-    """The deterministic shard partition a campaign over *faults* uses."""
-    return shard_faults(circuit, sorted(faults), jobs, shard_strategy, DEFAULT_OVERSHARD)
+def plan_shards(faults: Sequence[Fault], jobs: int) -> List[List[Fault]]:
+    """The shard partition a campaign over *faults* runs: round-robin.
+
+    Fault *i* of the sorted universe goes to shard ``i mod jobs``, which
+    interleaves neighbouring sites across shards.  Faulty machines never
+    interact, so any partition merges to the same result; the partition
+    only sets load balance, and it is a pure function of the arguments —
+    never of worker timing.  Empty shards are dropped (``jobs`` larger
+    than the universe gives one shard per fault), and an empty universe
+    gives one empty shard.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    ordered = sorted(faults)
+    if not ordered:
+        return [[]]
+    return [ordered[index::jobs] for index in range(min(jobs, len(ordered)))]
 
 
 def run_parallel(
@@ -104,11 +113,7 @@ def run_parallel(
     """
     from repro.campaign import shard_campaign
 
-    circuit, jobs, strategy = campaign.circuit, campaign.jobs, campaign.shard_strategy
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {strategy!r}; choose from {STRATEGIES}"
-        )
+    circuit, jobs = campaign.circuit, campaign.jobs
     trace_dir, trace_ctx = campaign.trace_dir, campaign.trace_ctx
     writer: Optional[SpanWriter] = None
     if trace_dir is not None:
@@ -121,7 +126,7 @@ def run_parallel(
     )
 
     plan_started = time.time()
-    shards = plan_shards(circuit, universe.faults, jobs, strategy)
+    shards = plan_shards(universe.faults, jobs)
     if writer is not None and trace_ctx is not None:
         writer.emit(
             "plan",
@@ -129,11 +134,13 @@ def run_parallel(
             plan_started,
             time.time(),
             shards=len(shards),
-            strategy=strategy,
             jobs=jobs,
         )
     total = len(shards)
     base_path = campaign.checkpoint_path
+    if campaign.resume:
+        assert base_path is not None  # a resume has a path: see Campaign
+        _check_resumable(base_path, total)
     tasks = [
         ShardTask(
             index,
@@ -176,9 +183,25 @@ def run_parallel(
             shards=total,
             detected=merged.num_detected,
         )
-        _write_trace_sidecars(trace_dir, trace_ctx, merged, jobs, strategy, total)
+        _write_trace_sidecars(trace_dir, trace_ctx, merged, jobs, total)
         writer.close()
     return merged
+
+
+def _check_resumable(base_path: str, total: int) -> None:
+    """Refuse a resume that has no checkpoint of this *total*-shard partition.
+
+    Shard files written under another ``jobs`` belong to another
+    partition and can never resume here; without this check every shard
+    would start fresh and the resume would silently become a recompute.
+    """
+    own = [shard_checkpoint_path(base_path, index, total) for index in range(total)]
+    if not any(os.path.exists(path) for path in own):
+        found = ", ".join(checkpoint_files(base_path)) or "none"
+        raise CheckpointError(
+            f"no checkpoint of this {total}-shard partition at {base_path!r} "
+            f"to resume from (found: {found})"
+        )
 
 
 def _write_trace_sidecars(
@@ -186,7 +209,6 @@ def _write_trace_sidecars(
     trace_ctx: TraceContext,
     merged: FaultSimResult,
     jobs: int,
-    shard_strategy: str,
     shards: int,
 ) -> None:
     """The inspection sidecars: merged telemetry summary + trace manifest.
@@ -201,7 +223,6 @@ def _write_trace_sidecars(
         "engine": merged.engine,
         "jobs": jobs,
         "shards": shards,
-        "strategy": shard_strategy,
     }
     suffix = f"-{trace_ctx.trace_id}"
     with open(os.path.join(trace_dir, f"manifest{suffix}.json"), "w") as handle:

@@ -6,7 +6,7 @@ text verbatim, or name + scale + structural fingerprint for library
 circuits), the test vectors *in application order* (sequential circuits
 make order semantic), the resolved fault universe, and the engine
 options.  Anything that cannot change the outcome — worker sharding
-(``jobs``/``shard_strategy``), priorities, idempotency keys — is
+(``jobs``), priorities, idempotency keys — is
 deliberately excluded, so a duplicate submission hits the cache no matter
 how it asks to be scheduled.
 
@@ -64,8 +64,8 @@ def cache_key(
         # a full-universe run: the *faults* field above holds the resolved
         # list (representatives under collapse), so without the option a
         # collapsed and an uncollapsed submission over coincidentally equal
-        # lists could alias.  ``sanitize`` is deliberately absent — like
-        # ``word_width`` it can never change detections, only check them.
+        # lists could alias.  ``word_width`` is deliberately absent: it
+        # can never change detections.
         "options": {
             "engine": spec.engine_label(),
             "transition": spec.transition,

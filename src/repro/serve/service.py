@@ -93,6 +93,15 @@ __all__ = [
 ]
 
 
+#: Longest retry backoff, in seconds, however many attempts came before.
+RETRY_BACKOFF_CAP = 30.0
+
+#: Minimum age, in seconds, before the reaper re-queues a ``queued``
+#: record absent from the queue: guards the submit path's save-then-push
+#: window against a double enqueue.
+REQUEUE_GRACE = 1.0
+
+
 class ServiceDraining(RuntimeError):
     """The service is draining; the submission was refused (HTTP 503)."""
 
@@ -152,39 +161,19 @@ class ServeConfig:
     #: files there (render with ``repro inspect``).
     trace_dir: Optional[str] = None
     #: How long a claimed job may go without a heartbeat before the
-    #: reaper presumes its worker dead and re-queues the job.
+    #: reaper presumes its worker dead and re-queues the job.  The
+    #: executing worker renews its leases every ``lease_ttl / 3`` from its
+    #: per-cycle hook, and the reaper sweeps every ``max(lease_ttl / 4,
+    #: 0.05)`` seconds.
     lease_ttl: float = 30.0
-    #: Wall-clock period between lease renewals from the executing
-    #: worker's per-cycle hook (None = ``lease_ttl / 3``).
-    heartbeat_every: Optional[float] = None
-    #: Period between reaper sweeps (None = ``max(lease_ttl / 4, 0.05)``).
-    reaper_interval: Optional[float] = None
     #: Execution attempts per job before dead-lettering (a job spec's
     #: ``max_attempts`` overrides per job).
     max_attempts: int = 3
-    #: Retry backoff: ``base * 2^(attempt-1)`` seconds, capped, plus
-    #: uniform jitter in ``[0, retry_jitter)`` to spread thundering herds.
+    #: Retry backoff: ``base * 2^(attempt-1)`` seconds, capped at
+    #: :data:`RETRY_BACKOFF_CAP`, plus uniform jitter in
+    #: ``[0, retry_jitter)`` to spread thundering herds.
     retry_backoff_base: float = 0.25
-    retry_backoff_cap: float = 30.0
     retry_jitter: float = 0.1
-    #: Minimum age before the reaper re-queues a ``queued`` record absent
-    #: from the queue: guards the submit path's save-then-push window
-    #: against a double enqueue.
-    requeue_grace: float = 1.0
-
-    def effective_heartbeat_every(self) -> float:
-        return (
-            self.heartbeat_every
-            if self.heartbeat_every is not None
-            else self.lease_ttl / 3.0
-        )
-
-    def effective_reaper_interval(self) -> float:
-        return (
-            self.reaper_interval
-            if self.reaper_interval is not None
-            else max(self.lease_ttl / 4.0, 0.05)
-        )
 
 
 class _LeaseHeartbeat(Tracer):
@@ -442,7 +431,7 @@ class FaultSimService:
             pass
         heartbeat = _LeaseHeartbeat(
             lambda: self._renew_leases(claimed, owner),
-            self.config.effective_heartbeat_every(),
+            self.config.lease_ttl / 3.0,
         )
         for record in claimed:
             self._execute_job(
@@ -549,7 +538,7 @@ class FaultSimService:
         if record.next_retry_at is not None:
             if record.next_retry_at > now:
                 return 0  # backoff still running
-        elif record.created_at + self.config.requeue_grace > now:
+        elif record.created_at + REQUEUE_GRACE > now:
             return 0  # possibly inside the submit save-then-push window
         record.next_retry_at = None
         self.store.save(record)
@@ -577,7 +566,7 @@ class FaultSimService:
         return 1
 
     def _reaper_loop(self) -> None:
-        interval = self.config.effective_reaper_interval()
+        interval = max(self.config.lease_ttl / 4.0, 0.05)
         while not self._stop.wait(interval):
             try:
                 self.reap()
@@ -805,7 +794,8 @@ class FaultSimService:
         """Classify one attempt's failure and route the job accordingly."""
         kind = classify_failure(exc)
         if isinstance(exc, CheckpointError):
-            # A torn checkpoint cannot seed the retry; start the job over.
+            # A torn checkpoint, or one written under another partition,
+            # cannot seed the retry; start the job over.
             self._cleanup_checkpoints(record.job_id)
         with self._reap_lock:
             if not self._still_owner(record, owner):
@@ -816,7 +806,7 @@ class FaultSimService:
             record.clear_lease()
             if kind == "transient" and record.attempts < self._max_attempts(record):
                 delay = min(
-                    self.config.retry_backoff_cap,
+                    RETRY_BACKOFF_CAP,
                     self.config.retry_backoff_base * (2.0 ** (record.attempts - 1)),
                 )
                 # Jitter perturbs retry *scheduling* only, never results.

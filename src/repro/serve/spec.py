@@ -28,8 +28,7 @@ from repro.circuit.library import load as load_circuit
 from repro.circuit.netlist import Circuit, NetlistError
 from repro.circuit.bench import parse_bench
 from repro.faults.model import Fault
-from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES, sanitized_options
-from repro.parallel.sharding import STRATEGIES
+from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import TestSequence, parse_vectors
 
@@ -81,10 +80,8 @@ _KNOWN_KEYS = frozenset(
         "prune_untestable",
         "collapse",
         "dictionary",
-        "sanitize",
         "max_cycles",
         "jobs",
-        "shard_strategy",
         "priority",
         "idempotency_key",
         "deadline_seconds",
@@ -101,9 +98,9 @@ class JobSpec:
     Exactly one of ``circuit``/``netlist`` names the design; ``vectors``
     (text, one ``0/1/X`` vector per line) and the ``random_patterns`` +
     ``seed`` pair are likewise exclusive, with the random spec as the
-    default.  ``jobs``/``shard_strategy`` shard the fault universe through
-    the parallel runner but never change the outcome, so they are *not*
-    part of the result-cache identity (see :mod:`repro.serve.cache`).
+    default.  ``jobs`` shards the fault universe through the parallel
+    runner but never changes the outcome, so it is *not* part of the
+    result-cache identity (see :mod:`repro.serve.cache`).
     """
 
     circuit: Optional[str] = None
@@ -130,13 +127,8 @@ class JobSpec:
     #: document, so the format *is* part of the cache identity.  Stuck-at
     #: only.
     dictionary: Optional[str] = None
-    #: Arm the fault-list invariant sanitizer (concurrent engines only).
-    #: Purely a self-check — it never changes detections — so, like
-    #: ``word_width``, it is *not* part of the cache identity.
-    sanitize: bool = False
     max_cycles: Optional[int] = None
     jobs: int = 1
-    shard_strategy: str = "round-robin"
     priority: int = 0
     idempotency_key: Optional[str] = None
     #: Wall-clock budget from submission; past it the job finishes with
@@ -167,11 +159,6 @@ class JobSpec:
         engine = _opt_str(payload, "engine") or "csim-MV"
         if engine not in ENGINE_NAMES:
             raise SpecError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
-        strategy = _opt_str(payload, "shard_strategy") or "round-robin"
-        if strategy not in STRATEGIES:
-            raise SpecError(
-                f"unknown shard strategy {strategy!r}; choose from {STRATEGIES}"
-            )
         jobs = _opt_int(payload, "jobs", 1)
         if jobs < 1:
             raise SpecError("'jobs' must be >= 1")
@@ -194,12 +181,6 @@ class JobSpec:
                 raise SpecError(
                     "fault dictionaries only support the stuck-at model"
                 )
-        sanitize = _opt_bool(payload, "sanitize")
-        if sanitize:
-            try:
-                sanitized_options(engine, transition)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from None
         random_patterns = _opt_int(payload, "random_patterns", 64)
         if random_patterns < 1:
             raise SpecError("'random_patterns' must be >= 1")
@@ -243,10 +224,8 @@ class JobSpec:
             prune_untestable=_opt_bool(payload, "prune_untestable"),
             collapse=collapse,
             dictionary=dictionary,
-            sanitize=sanitize,
             max_cycles=max_cycles,
             jobs=jobs,
-            shard_strategy=strategy,
             priority=_opt_int(payload, "priority", 0),
             idempotency_key=_opt_str(payload, "idempotency_key"),
             deadline_seconds=deadline_seconds,
@@ -262,7 +241,6 @@ class JobSpec:
             "transition": self.transition,
             "prune_untestable": self.prune_untestable,
             "jobs": self.jobs,
-            "shard_strategy": self.shard_strategy,
             "priority": self.priority,
         }
         if self.circuit is not None:
@@ -278,8 +256,6 @@ class JobSpec:
             payload["collapse"] = self.collapse
         if self.dictionary is not None:
             payload["dictionary"] = self.dictionary
-        if self.sanitize:
-            payload["sanitize"] = self.sanitize
         if self.max_cycles is not None:
             payload["max_cycles"] = self.max_cycles
         if self.idempotency_key is not None:
@@ -405,10 +381,8 @@ class SpecResolver:
             dictionary=spec.dictionary,
             prune=spec.prune_untestable,
             collapse=spec.collapse,
-            sanitize=spec.sanitize,
             word_width=spec.word_width,
             jobs=spec.jobs,
-            shard_strategy=spec.shard_strategy,
         )
         # The universe is a pure function of the circuit source and the
         # universe policy, so jobs sharing a parsed circuit share its

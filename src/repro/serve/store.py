@@ -16,7 +16,8 @@ records small enough to rewrite on every transition.
 On restart, :meth:`JobStore.load_all` rebuilds the in-memory index;
 records found ``running`` belonged to a killed worker and are the ones
 :meth:`repro.serve.service.FaultSimService.recover` re-queues for a
-checkpoint resume.
+checkpoint resume.  It also drops the :data:`RETIRED_SPEC_KEYS` from each
+stored spec, so a record written while those fields existed still parses.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ ERROR_MAX_CHARS = 512
 #: Per-attempt error-history entries retained (oldest dropped first;
 #: ``error_history_dropped`` counts the elided ones).
 ERROR_HISTORY_LIMIT = 8
+
+#: Spec fields the service no longer accepts, dropped from stored records
+#: on load.  Neither can change a result: every partition of the fault
+#: universe merges to the same outcome, and the sanitizer only checks.
+RETIRED_SPEC_KEYS = ("shard_strategy", "sanitize")
 
 
 def clip_error(message: str) -> str:
@@ -171,6 +177,8 @@ class JobStore:
                         record = JobRecord(**json.load(handle))
                 except (OSError, TypeError, ValueError):
                     continue  # torn or foreign file; never happens for our writes
+                for key in RETIRED_SPEC_KEYS:
+                    record.spec.pop(key, None)
                 self._records[record.job_id] = record
                 sequence = _sequence_of(record.job_id)
                 if sequence is not None and sequence > self._sequence:

@@ -121,7 +121,6 @@ class VectorFaultSimulator(ProofsSimulator):
         faults: Optional[Iterable[StuckAtFault]] = None,
         word_width: int = 64,
         axis_mode: str = "auto",
-        crossover: Optional[int] = None,
         use_numpy: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
         record_responses: bool = False,
@@ -142,9 +141,7 @@ class VectorFaultSimulator(ProofsSimulator):
                 )
         self.word_width = word_width
         self.axis_mode = axis_mode
-        self.scheduler = AxisScheduler(
-            word_width, mode=axis_mode, crossover=crossover, dense=use_numpy
-        )
+        self.scheduler = AxisScheduler(word_width, mode=axis_mode, dense=use_numpy)
         self.use_numpy = use_numpy
         super().__init__(
             circuit, faults, word_size=word_width, tracer=tracer,

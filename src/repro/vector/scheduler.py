@@ -24,7 +24,7 @@ outcomes never depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: Valid ``axis_mode`` values: the two fixed axes plus the scheduler.
 AXIS_MODES: Tuple[str, ...] = ("auto", "fault", "pattern")
@@ -63,25 +63,18 @@ class AxisScheduler:
       the many-live phase and the fault axis takes the low-live tail,
       where dense sweeps would mostly recompute good values.
 
-    ``crossover`` overrides the threshold for ablation studies.
+    The threshold is ``word_width // 2`` (at least 1) in both cases, and a
+    window shallower than :data:`MIN_PATTERN_DEPTH` always packs faults.
     """
 
-    def __init__(
-        self,
-        word_width: int,
-        mode: str = "auto",
-        crossover: Optional[int] = None,
-        min_pattern_depth: int = MIN_PATTERN_DEPTH,
-        dense: bool = False,
-    ) -> None:
+    def __init__(self, word_width: int, mode: str = "auto", dense: bool = False) -> None:
         if mode not in AXIS_MODES:
             raise ValueError(f"unknown axis mode {mode!r}; choose from {AXIS_MODES}")
         if word_width < 1:
             raise ValueError(f"word width must be >= 1, got {word_width}")
         self.word_width = word_width
         self.mode = mode
-        self.crossover = max(1, word_width // 2) if crossover is None else crossover
-        self.min_pattern_depth = min_pattern_depth
+        self.crossover = max(1, word_width // 2)
         self.dense = dense
 
     def choose(self, cycle: int, live: int, depth: int) -> AxisDecision:
@@ -90,10 +83,10 @@ class AxisScheduler:
             return AxisDecision(cycle, self.mode, live, depth, f"fixed {self.mode} axis")
         if live == 0:
             return AxisDecision(cycle, "fault", live, depth, "no live faults")
-        if depth < self.min_pattern_depth:
+        if depth < MIN_PATTERN_DEPTH:
             return AxisDecision(
                 cycle, "fault", live, depth,
-                f"depth {depth} < min pattern depth {self.min_pattern_depth}",
+                f"depth {depth} < min pattern depth {MIN_PATTERN_DEPTH}",
             )
         if self.dense:
             if live >= self.crossover:
@@ -126,11 +119,12 @@ def predict_axes(
 
     A planning helper for the two-dimensional composition: given the
     per-shard live-fault counts of a partition
-    (:func:`repro.parallel.sharding.shard_faults` sizes) and the vector
+    (:func:`repro.parallel.runner.plan_shards` sizes) and the vector
     depth, report which axis each shard's kernel would pick for its first
-    window.  Small shards of an oversharded work-stealing partition start
-    on the pattern axis while big shards start on the fault axis — the
-    benchmark's axis-ablation uses this to report the mix.
+    window.  Under the scalar cost model small shards start on the
+    pattern axis while big shards start on the fault axis, and the dense
+    model flips the two — the benchmark's axis-ablation uses this to
+    report the mix.
     """
     scheduler = AxisScheduler(word_width, mode=mode, dense=dense)
     return [scheduler.choose(1, live, depth).axis for live in live_counts]

@@ -222,6 +222,10 @@ class TestParser:
             ["transition", "s27", "--max-memory-mb", "64"],
             ["build-dictionary", "s27", "-o", "d.json", "--max-memory-mb", "64"],
             ["diagnose", "s27", "--failures", "5:0", "--max-memory-mb", "64"],
+            ["simulate", "s27", "--jobs", "2", "--shard-strategy", "round-robin"],
+            ["transition", "s27", "--jobs", "2", "--shard-strategy", "round-robin"],
+            ["build-dictionary", "s27", "-o", "d.json", "--shard-strategy", "round-robin"],
+            ["diagnose", "s27", "--failures", "5:0", "--shard-strategy", "round-robin"],
         ],
         ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}",
     )

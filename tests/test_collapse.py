@@ -347,21 +347,16 @@ class TestServeParity:
         )
         assert blob == serialize_result(reference, circuit)
 
-    def test_cache_key_separates_collapse_but_not_sanitize(self, tmp_path):
+    def test_cache_key_separates_collapse(self, tmp_path):
         service = self._service(tmp_path)
         base = {"circuit": "s27", "random_patterns": 20, "seed": 1}
         plain, _ = service.submit(dict(base))
         equivalence, _ = service.submit(dict(base, collapse="equivalence"))
-        sanitized, _ = service.submit(dict(base, sanitize=True))
         keys = {
             service.store.get(record.job_id).cache_key
             for record in (plain, equivalence)
         }
         assert len(keys) == 2
-        assert (
-            service.store.get(sanitized.job_id).cache_key
-            == service.store.get(plain.job_id).cache_key
-        )
 
     def test_bad_spec_options_rejected(self, tmp_path):
         from repro.serve import SpecError
@@ -370,21 +365,12 @@ class TestServeParity:
         for mode in ("bogus", "dominance"):
             with pytest.raises(SpecError, match="collapse"):
                 service.submit({"circuit": "s27", "collapse": mode})
-        with pytest.raises(SpecError, match="sanitize"):
-            service.submit(
-                {"circuit": "s27", "engine": "PROOFS", "sanitize": True}
-            )
 
     def test_spec_roundtrips_new_options(self):
         from repro.serve.spec import JobSpec
 
-        payload = {
-            "circuit": "s27",
-            "random_patterns": 10,
-            "collapse": "equivalence",
-            "sanitize": True,
-        }
+        payload = {"circuit": "s27", "random_patterns": 10, "collapse": "equivalence"}
         spec = JobSpec.from_payload(payload)
-        assert spec.collapse == "equivalence" and spec.sanitize
+        assert spec.collapse == "equivalence"
         again = JobSpec.from_payload(spec.to_payload())
-        assert again.collapse == "equivalence" and again.sanitize
+        assert again.collapse == "equivalence"

@@ -855,6 +855,39 @@ class TestEndToEndRoundTrip:
         assert code == 2
         assert "artifact corrupt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "circuit, num_vectors, gate, message",
+        [
+            ("s298", 40, 1, "is for circuit 's298', not 's27'"),
+            ("s27", 64, 1, "covers 64 vectors, the query 40"),
+            ("s27", 40, 500, "fault at gate 500 pin -1 lies outside circuit 's27'"),
+        ],
+        ids=["circuit", "vectors", "site"],
+    )
+    def test_cli_rejects_an_artifact_for_another_query(
+        self, tmp_path, capsys, circuit, num_vectors, gate, message
+    ):
+        """A well-formed artifact of another circuit, vector count or fault
+        site is a one-line error: never a traceback, never a ranking
+        against the wrong dictionary."""
+        from repro.cli import main
+
+        artifact = tmp_path / "other.dict"
+        artifact.write_bytes(
+            encode_dictionary(
+                circuit, num_vectors, {StuckAtFault.make(gate, -1, 0): ((1, 0),)}
+            )
+        )
+        code = main([
+            "diagnose", "s27", "--random-patterns", "40", "--seed", "3",
+            "--dictionary", str(artifact), "--failures", "5:0",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if not line.startswith("#")]
+        assert errors == [f"error: {artifact}: dictionary {message}"]
+
 
 class TestExplain:
     def test_chain_reaches_observed_outputs(self, s27, s27_dictionary):

@@ -3,7 +3,7 @@
 The contract under test (see :mod:`repro.parallel.merge`): the merged
 *outcome* — detected faults, detection cycles, potential detections,
 coverage — is bit-identical to a single-process run for every shard
-count, partition strategy and executor; at K=1 the whole result (work
+count and executor; at K=1 the whole result (work
 counters and modelled memory included) is identical; and for K>1 the
 aggregate counters are deterministic across executors.
 """
@@ -22,12 +22,10 @@ from repro.obs import RecordingTracer
 from repro.parallel import (
     MultiprocessExecutor,
     SequentialExecutor,
-    activity_weights,
     merge_results,
+    plan_shards,
     shard_checkpoint_path,
-    shard_faults,
 )
-from repro.parallel.sharding import STRATEGIES
 from repro.patterns.random_gen import random_sequence
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import CampaignInterrupted, CheckpointError
@@ -44,55 +42,40 @@ def s298_tests(s298):
 
 
 # ----------------------------------------------------------------------
-# sharding strategies
+# the partition
 # ----------------------------------------------------------------------
 
 
 class TestSharding:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
-    def test_partition_is_exact(self, s298, strategy, jobs):
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7], ids="{}-round-robin".format)
+    def test_partition_is_exact(self, s298, jobs):
         universe = stuck_at_universe(s298)
-        shards = shard_faults(s298, universe, jobs, strategy)
+        shards = plan_shards(reversed(universe), jobs)
+        assert len(shards) == jobs
         merged = [fault for shard in shards for fault in shard]
         assert sorted(merged) == sorted(universe)
         assert len(set(merged)) == len(universe)
-        assert all(shard for shard in shards)
+        # Fault i of the sorted universe lands in shard i mod jobs.
+        for position, fault in enumerate(sorted(universe)):
+            assert fault in shards[position % jobs]
+        assert plan_shards(universe, jobs) == shards
 
     def test_round_robin_is_deterministic(self, s298):
         universe = stuck_at_universe(s298)
-        first = shard_faults(s298, universe, 4, "round-robin")
-        second = shard_faults(s298, universe, 4, "round-robin")
-        assert first == second
-
-    def test_level_balanced_spreads_weight(self, s298):
-        universe = stuck_at_universe(s298)
-        weights = activity_weights(s298)
-        shards = shard_faults(s298, universe, 4, "level-balanced")
-        loads = [sum(weights[f.gate] for f in shard) for shard in shards]
-        # LPT guarantee: heaviest shard within 4/3 of the optimum's lower
-        # bound (perfect split or the single heaviest fault).
-        optimum = max(sum(loads) / len(loads), max(weights))
-        assert max(loads) <= 4 / 3 * optimum + 1
-
-    def test_work_stealing_overshards(self, s298):
-        universe = stuck_at_universe(s298)
-        shards = shard_faults(s298, universe, 2, "work-stealing", overshard=4)
-        assert len(shards) > 2
+        shuffled = list(universe)
+        random.Random(5).shuffle(shuffled)
+        assert plan_shards(shuffled, 4) == plan_shards(universe, 4)
 
     def test_more_jobs_than_faults(self, s298):
         universe = stuck_at_universe(s298)[:3]
-        shards = shard_faults(s298, universe, 8, "round-robin")
-        assert len(shards) == 3
+        assert plan_shards(universe, 8) == [[fault] for fault in sorted(universe)]
 
     def test_empty_universe(self, s298):
-        assert shard_faults(s298, [], 4, "round-robin") == [[]]
+        assert plan_shards([], 4) == [[]]
 
-    def test_unknown_strategy_rejected(self, s298):
-        with pytest.raises(ValueError, match="strategy"):
-            shard_faults(s298, stuck_at_universe(s298), 2, "alphabetical")
-        with pytest.raises(ValueError):
-            shard_faults(s298, stuck_at_universe(s298), 0, "round-robin")
+    def test_jobs_below_one_rejected(self, s298):
+        with pytest.raises(ValueError, match="jobs"):
+            plan_shards(stuck_at_universe(s298), 0)
 
 
 # ----------------------------------------------------------------------
@@ -101,20 +84,11 @@ class TestSharding:
 
 
 class TestOutcomeIdentity:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("jobs", [1, 2, 4, 7])
-    def test_detections_identical_any_sharding(
-        self, s298, s298_tests, strategy, jobs
-    ):
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 7], ids="{}-round-robin".format)
+    def test_detections_identical_any_sharding(self, s298, s298_tests, jobs):
         base = run_stuck_at(s298, s298_tests, "csim-MV")
         merged = execute(
-            Campaign(
-                s298,
-                s298_tests,
-                "csim-MV",
-                jobs=jobs,
-                shard_strategy=strategy,
-            ),
+            Campaign(s298, s298_tests, "csim-MV", jobs=jobs),
             executor=SequentialExecutor(),
         )
         assert merged.detected == base.detected
@@ -153,7 +127,7 @@ class TestOutcomeIdentity:
     def test_executors_agree_exactly(self, s298, s298_tests):
         """The multiprocessing pool and its in-process twin must produce
         the same merged result, counters and telemetry included."""
-        kwargs = dict(jobs=2, shard_strategy="work-stealing", tracer=RecordingTracer())
+        kwargs = dict(jobs=2, tracer=RecordingTracer())
         seq = execute(
             Campaign(s298, s298_tests, "csim-MV", **kwargs),
             executor=SequentialExecutor(),
@@ -242,20 +216,13 @@ class TestPartitionInvarianceProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(case=parallel_case(), data=st.data())
-    def test_any_k_matches_k1(self, case, data):
+    @given(case=parallel_case())
+    def test_any_k_matches_k1(self, case):
         circuit, tests = case
         base = execute(Campaign(circuit, tests, "csim-MV", jobs=1))
         for jobs in (2, 4, 7):
-            strategy = data.draw(st.sampled_from(STRATEGIES), label=f"K={jobs}")
             merged = execute(
-                Campaign(
-                    circuit,
-                    tests,
-                    "csim-MV",
-                    jobs=jobs,
-                    shard_strategy=strategy,
-                ),
+                Campaign(circuit, tests, "csim-MV", jobs=jobs),
                 executor=SequentialExecutor(),
             )
             assert merged.detected == base.detected
@@ -376,34 +343,34 @@ class TestParallelResilience:
     def test_resume_under_different_sharding_refused(
         self, s298, s298_tests, tmp_path
     ):
-        """A shard checkpoint is bound to its (strategy, index, total)
-        position; resuming the same files under another strategy must be
-        refused, not silently merged wrong."""
-        base_path = str(tmp_path / "campaign.ckpt")
-        execute(
-            Campaign(
-                s298,
-                s298_tests,
-                "csim-MV",
-                jobs=2,
-                shard_strategy="round-robin",
-                checkpoint_path=base_path,
-            ),
-            executor=SequentialExecutor(),
-        )
-        with pytest.raises(CheckpointError):
+        """Checkpoints written under one shard count are no resume point
+        for another (2 -> 3 shards, single-process -> 2): the resume is
+        refused, naming the files it found, instead of silently starting
+        every shard fresh."""
+        for before, after in ((2, 3), (1, 2)):
+            directory = tmp_path / f"{before}-to-{after}"
+            directory.mkdir()
+            base_path = str(directory / "campaign.ckpt")
             execute(
                 Campaign(
-                    s298,
-                    s298_tests,
-                    "csim-MV",
-                    jobs=2,
-                    shard_strategy="level-balanced",
-                    checkpoint_path=base_path,
-                    resume=True,
-                ),
-                executor=SequentialExecutor(),
+                    s298, s298_tests, "csim-MV", jobs=before, checkpoint_path=base_path
+                )
             )
+            written = sorted(path.name for path in directory.iterdir())
+            with pytest.raises(CheckpointError, match="partition") as info:
+                execute(
+                    Campaign(
+                        s298,
+                        s298_tests,
+                        "csim-MV",
+                        jobs=after,
+                        checkpoint_path=base_path,
+                        resume=True,
+                    ),
+                    executor=SequentialExecutor(),
+                )
+            assert all(name in str(info.value) for name in written)
+            assert sorted(path.name for path in directory.iterdir()) == written
 
     def test_resume_without_path_rejected(self, s298, s298_tests):
         with pytest.raises(ValueError, match="checkpoint"):
@@ -433,7 +400,7 @@ class TestParallelCli:
         argv = ["simulate", "s27", "--random-patterns", "40", "--seed", "9"]
         assert main(argv) == 0
         single = self._coverage(capsys.readouterr().out)
-        assert main(argv + ["--jobs", "2", "--shard-strategy", "work-stealing"]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         assert self._coverage(capsys.readouterr().out) == single
 
     def test_trace_with_jobs_writes_span_trace(self, tmp_path, capsys):

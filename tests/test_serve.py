@@ -17,6 +17,7 @@ from repro.serve import (
     serialize_result,
 )
 from repro.serve.spec import JobSpec, SpecResolver
+from repro.serve.store import RETIRED_SPEC_KEYS
 
 
 def make_service(tmp_path, **overrides):
@@ -26,6 +27,22 @@ def make_service(tmp_path, **overrides):
 
 
 S27_JOB = {"circuit": "s27", "random_patterns": 40, "seed": 7}
+
+#: A queued record, byte for byte as the store wrote it while job specs
+#: still carried ``shard_strategy`` and ``sanitize``.
+RETIRED_KEYS_RECORD = (
+    b'{"attempts": 0, "batch_size": 0, "cache_hit": false, "cache_key": '
+    b'"88f77673de6a0188130e03e85bc0fd8f6eaf54054b4cc67649848fa50aa0595a", '
+    b'"created_at": 1792444290.9563067, "deadline_at": null, "error": null, '
+    b'"error_history": [], "error_history_dropped": 0, "finished_at": null, '
+    b'"idempotency_key": null, "job_id": "job-000001", "lease_expires_at": null, '
+    b'"lease_owner": null, "next_retry_at": null, "priority": 0, '
+    b'"resumed_from_cycle": 0, "spec": {"circuit": "s27", "engine": "csim-MV", '
+    b'"jobs": 2, "priority": 0, "prune_untestable": false, "random_patterns": 32, '
+    b'"sanitize": true, "scale": 1.0, "seed": 4, "shard_strategy": "level-balanced", '
+    b'"transition": false}, "started_at": null, "state": "queued", "summary": null, '
+    b'"trace_id": null}'
+)
 
 
 class TestSubmit:
@@ -174,14 +191,12 @@ class TestResultCache:
         )
 
     def test_sharding_does_not_change_cache_identity(self, tmp_path):
-        """jobs/shard_strategy cannot change the outcome, so a sharded
-        duplicate of a single-process job is a cache hit."""
+        """jobs cannot change the outcome, so a sharded duplicate of a
+        single-process job is a cache hit."""
         service = make_service(tmp_path)
         service.submit(dict(S27_JOB))
         service.drain()
-        duplicate, _ = service.submit(
-            dict(S27_JOB, jobs=3, shard_strategy="level-balanced")
-        )
+        duplicate, _ = service.submit(dict(S27_JOB, jobs=3))
         assert duplicate.cache_hit
 
     def test_in_flight_duplicates_coalesce(self, tmp_path):
@@ -289,6 +304,32 @@ class TestPersistence:
         duplicate, _ = reborn.submit(dict(S27_JOB))
         assert duplicate.cache_hit
 
+    def test_record_with_retired_spec_keys_runs(self, tmp_path):
+        """The store drops retired spec fields on load, so a record that
+        carries them recovers and runs to a fresh submission's bytes."""
+        assert set(RETIRED_SPEC_KEYS) <= set(json.loads(RETIRED_KEYS_RECORD)["spec"])
+        jobs_dir = tmp_path / "state" / "jobs"
+        jobs_dir.mkdir(parents=True)
+        (jobs_dir / "job-000001.json").write_bytes(RETIRED_KEYS_RECORD)
+        reborn = make_service(tmp_path)
+        assert reborn.recover() == 1
+        assert reborn.drain() == 1
+        assert reborn.status("job-000001").state == "done"
+        fresh = make_service(tmp_path / "fresh")
+        record, _ = fresh.submit(
+            {"circuit": "s27", "random_patterns": 32, "seed": 4, "jobs": 2}
+        )
+        assert fresh.drain() == 1
+        assert reborn.result_bytes("job-000001") == fresh.result_bytes(record.job_id)
+
+    @pytest.mark.parametrize("key", RETIRED_SPEC_KEYS)
+    def test_retired_spec_keys_refused_on_submit(self, tmp_path, key):
+        service = make_service(tmp_path)
+        value = json.loads(RETIRED_KEYS_RECORD)["spec"][key]
+        with pytest.raises(SpecError, match=f"unknown job fields: {key}"):
+            service.submit(dict(S27_JOB, **{key: value}))
+        assert service.store.all_records() == []
+
     def test_recover_requeues_queued_jobs(self, tmp_path):
         config = ServeConfig(state_dir=str(tmp_path / "state"), workers=0)
         service = FaultSimService(config)
@@ -386,7 +427,7 @@ class TestCacheKeyUnits:
 
     def test_scheduling_knobs_do_not_change_key(self):
         assert self._key(dict(S27_JOB)) == self._key(
-            dict(S27_JOB, jobs=4, shard_strategy="work-stealing", priority=9)
+            dict(S27_JOB, jobs=4, priority=9)
         )
 
     def test_semantic_knobs_change_key(self):

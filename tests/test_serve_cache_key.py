@@ -114,16 +114,14 @@ class TestKeySeparations:
     @RELAXED
     @given(
         st.integers(min_value=1, max_value=8),
-        st.sampled_from(("round-robin", "level-balanced", "work-stealing")),
         st.integers(min_value=-5, max_value=5),
     )
-    def test_scheduling_knobs_never_change_key(self, jobs, strategy, priority):
+    def test_scheduling_knobs_never_change_key(self, jobs, priority):
         base = JobSpec.from_payload({"circuit": "s27"})
         scheduled = JobSpec.from_payload(
             {
                 "circuit": "s27",
                 "jobs": jobs,
-                "shard_strategy": strategy,
                 "priority": priority,
                 "idempotency_key": "whatever",
             }

@@ -418,7 +418,7 @@ class TestDrain:
 class TestReaperThread:
     def test_background_reaper_recovers_without_manual_reap(self, tmp_path):
         service = make_service(
-            tmp_path, lease_ttl=0.05, reaper_interval=0.02, retry_backoff_base=0.0
+            tmp_path, lease_ttl=0.05, retry_backoff_base=0.0
         )
         record, _ = service.submit(dict(JOB))
         with step_bomb(ConcurrentFaultSimulator, after_steps=10):

@@ -232,11 +232,6 @@ class TestScheduler:
     def test_no_live_faults_is_fault_axis(self):
         assert AxisScheduler(64).choose(1, 0, 500).axis == "fault"
 
-    def test_explicit_crossover_override(self):
-        scheduler = AxisScheduler(64, crossover=5)
-        assert scheduler.choose(1, 4, 500).axis == "pattern"
-        assert scheduler.choose(1, 5, 500).axis == "fault"
-
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="axis mode"):
             AxisScheduler(64, mode="diagonal")
