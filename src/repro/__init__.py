@@ -50,6 +50,19 @@ from repro.sim import EventSimulator, LogicSimulator
 
 __version__ = "1.0.0"
 
+
+def package_version() -> str:
+    """The installed distribution's version, else the source tree's: what
+    ``repro --version`` prints and the service's ``/healthz`` and
+    ``/metrics`` report."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version("repro")
+    except PackageNotFoundError:
+        return __version__
+
+
 __all__ = [
     "parse_bench",
     "parse_bench_file",

@@ -36,6 +36,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+from repro import package_version
 from repro.campaign import Campaign, execute, select_universe
 from repro.circuit.library import load
 from repro.circuit.netlist import NetlistError
@@ -680,22 +681,6 @@ def cmd_tables(args) -> int:
         )
     )
     return 0
-
-
-def package_version() -> str:
-    """The installed distribution version, falling back to the source tree's."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            return version("repro")
-        except PackageNotFoundError:
-            pass
-    except ImportError:  # pragma: no cover - Python < 3.8
-        pass
-    from repro import __version__
-
-    return __version__
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -221,11 +221,7 @@ class ConcurrentFaultSimulator:
         #: fid -> recorded failures, populated only in record_responses mode.
         self._responses: Dict[int, List[Failure]] = {}
         self.counters = WorkCounters()
-        self.memory = MemoryStats(
-            num_descriptors=len(self.descriptors),
-            element_bytes=self.options.element_bytes,
-            descriptor_bytes=self.options.descriptor_bytes,
-        )
+        self.memory = MemoryStats(num_descriptors=len(self.descriptors))
         self._live_elements = 0
         self._next_cycle_gates: Set[int] = set()
         self._dirty_ffs: Set[int] = set(circuit.dffs)

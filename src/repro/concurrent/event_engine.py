@@ -115,11 +115,7 @@ class ConcurrentEventFaultSimulator:
         self.detected: Dict[Fault, int] = {}
         self.potentially_detected: Dict[Fault, int] = {}
         self.counters = WorkCounters()
-        self.memory = MemoryStats(
-            num_descriptors=len(self.descriptors),
-            element_bytes=self.options.element_bytes,
-            descriptor_bytes=self.options.descriptor_bytes,
-        )
+        self.memory = MemoryStats(num_descriptors=len(self.descriptors))
         self._live = 0
         # Timing wheel: per-time bucket of (gate, machine, value).
         self._bucket: Dict[int, List[Tuple[int, int, int]]] = {}

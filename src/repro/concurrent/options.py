@@ -29,9 +29,6 @@ class SimOptions:
         Event-driven fault dropping (Section 2.2, first improvement).
         Disabling it exists only for the ablation benchmark — every
         practical run wants it on.
-    ``element_bytes`` / ``descriptor_bytes``
-        Memory model used to report megabyte figures comparable in shape
-        to the paper's tables.
     ``sanitize``
         Run the fault-list sanitizer
         (:class:`repro.robust.guards.FaultListSanitizer`) at every
@@ -43,8 +40,6 @@ class SimOptions:
     use_macros: bool = False
     macro_max_inputs: int = 4
     drop_detected: bool = True
-    element_bytes: int = 12
-    descriptor_bytes: int = 20
     sanitize: bool = False
 
     @property

@@ -417,21 +417,11 @@ def diagnosis_report(
 def write_dictionary(path: str, blob: bytes) -> None:
     """Write an artifact atomically (the cache-directory convention)."""
     import os
-    import tempfile
 
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(blob)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    from repro.robust.checkpoint import write_atomic
+
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    write_atomic(path, blob)
 
 
 def read_dictionary(path: str) -> bytes:

@@ -11,8 +11,7 @@ JSON snapshot stays the source of truth; this module only re-renders it,
 so the two ``/metrics`` representations can never drift apart.
 
 :func:`parse_prometheus_text` is the matching minimal parser — enough to
-round-trip the exposition in tests and in ``repro inspect``, not a full
-client library.
+round-trip the exposition in the tests, not a full client library.
 """
 
 from __future__ import annotations
@@ -313,7 +312,7 @@ def render_prometheus(snapshot: Mapping[str, object]) -> str:
 
 
 # ----------------------------------------------------------------------
-# the matching minimal parser (tests, repro inspect)
+# the matching minimal parser (tests)
 # ----------------------------------------------------------------------
 
 _SAMPLE = re.compile(

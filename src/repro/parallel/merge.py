@@ -8,9 +8,8 @@ The merge contract, in order of strength:
   which other faults share the engine.  So ``detected``,
   ``potentially_detected`` (with their detection cycles), coverage and the
   fault universe size of the merged result are *bit-identical* to a
-  single-process run over the whole universe, for any shard count and any
-  strategy.  The equivalence tests and the hypothesis property suite pin
-  this down.
+  single-process run over the whole universe, for any shard count.  The
+  equivalence tests and the hypothesis property suite pin this down.
 * **The merge is deterministic.**  Results are merged in shard order and
   detection dicts are rebuilt sorted by (cycle, fault), so the merged
   result is a pure function of the shard partition — independent of
@@ -71,11 +70,7 @@ def merge_counters(parts: Sequence[WorkCounters]) -> WorkCounters:
 
 def merge_memory(parts: Sequence[MemoryStats]) -> MemoryStats:
     """Aggregate the modelled memory of disjoint shard populations."""
-    merged = MemoryStats(
-        num_descriptors=sum(part.num_descriptors for part in parts),
-        element_bytes=parts[0].element_bytes if parts else 12,
-        descriptor_bytes=parts[0].descriptor_bytes if parts else 20,
-    )
+    merged = MemoryStats(num_descriptors=sum(part.num_descriptors for part in parts))
     merged.live_elements = sum(part.live_elements for part in parts)
     merged.peak_elements = sum(part.peak_elements for part in parts)
     return merged

@@ -21,7 +21,6 @@ from repro.robust.checkpoint import (
 )
 from repro.robust.guards import (
     FaultListSanitizer,
-    GuardedTracer,
     SanitizerError,
     invariant_violations,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "FaultListSanitizer",
-    "GuardedTracer",
     "SanitizerError",
     "TableCampaign",
     "DEFAULT_CHECKPOINT_EVERY",

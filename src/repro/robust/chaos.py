@@ -1,11 +1,9 @@
 """Chaos injection for the resilience subsystem's own tests.
 
-Each class here breaks the simulator (or its surroundings) in one
+Each injection breaks the simulator (or its surroundings) in one
 specific, controlled way, so the test suite can assert that the guards
-actually guard:
+actually guard.  Three injection classes corrupt an engine:
 
-* :class:`HookBombTracer` — raises from a tracer hook after N calls;
-  :class:`repro.robust.guards.GuardedTracer` must contain the blast.
 * :class:`EventDropChaos` — silently discards every Nth propagation
   event, the classic lost-update corruption; the engine ladder's serial
   spot-check must notice the wrong detections.
@@ -19,6 +17,9 @@ actually guard:
   fault-list sanitizer (:class:`repro.robust.guards.FaultListSanitizer`,
   armed via ``SimOptions.sanitize``) must flag it at the next phase
   boundary.
+
+Two helpers break an engine's surroundings:
+
 * :func:`truncate_file` — chops the tail off a checkpoint so the
   integrity check in :func:`repro.robust.checkpoint.read_checkpoint`
   must refuse it with a clean diagnostic.
@@ -40,80 +41,10 @@ from typing import Iterator, Optional, Type
 
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
-from repro.obs.tracer import Tracer
 
 
 class ChaosError(RuntimeError):
     """Raised by injected failures, so tests can tell chaos from real bugs."""
-
-
-class HookBombTracer(Tracer):
-    """A tracer that detonates on its Nth hook invocation.
-
-    Models a buggy observer (a plotting callback, a flaky log shipper).
-    Wrap it in :class:`repro.robust.guards.GuardedTracer` and the
-    simulation must complete with the tracer disarmed, not die.
-    """
-
-    enabled = True
-
-    def __init__(self, detonate_after: int = 10) -> None:
-        self.detonate_after = detonate_after
-        self.calls = 0
-
-    def _tick(self) -> None:
-        self.calls += 1
-        if self.calls >= self.detonate_after:
-            raise ChaosError(f"tracer hook bomb after {self.calls} calls")
-
-    # Every hook the engines fire goes through the same fuse.
-    def run_start(self, engine: str, circuit_name: str) -> None:
-        self._tick()
-
-    def run_end(self, wall_seconds: float) -> None:
-        self._tick()
-
-    def cycle_start(self, cycle: int) -> None:
-        self._tick()
-
-    def cycle_end(self, cycle: int, **stats) -> None:
-        self._tick()
-
-    def phase_time(self, phase: str, seconds: float) -> None:
-        self._tick()
-
-    def good_evals(self, gate: int, count: int = 1) -> None:
-        self._tick()
-
-    def fault_evals(self, gate: int, count: int = 1) -> None:
-        self._tick()
-
-    def element_visits(self, gate: int, count: int = 1) -> None:
-        self._tick()
-
-    def event(self, gate: int) -> None:
-        self._tick()
-
-    def scheduled(self, gate: int, level: int) -> None:
-        self._tick()
-
-    def diverge(self, gate: int, fid: int, visible: bool) -> None:
-        self._tick()
-
-    def converge(self, gate: int, fid: int) -> None:
-        self._tick()
-
-    def detect(self, fid: int, cycle: int, potential: bool = False) -> None:
-        self._tick()
-
-    def drop(self, fid: int, cycle: int) -> None:
-        self._tick()
-
-    def budget_breach(self, kind: str, limit: float, actual: float) -> None:
-        self._tick()
-
-    def fallback(self, engine: str, to: str, reason: str) -> None:
-        self._tick()
 
 
 class EventDropChaos(ConcurrentFaultSimulator):

@@ -1,9 +1,11 @@
 """Durable, integrity-checked campaign checkpoints.
 
 A checkpoint file is ``MAGIC || sha256(payload) || payload`` where the
-payload is a pickled :class:`Checkpoint`.  Writes are atomic (temp file in
-the same directory, fsync, then ``os.replace``), so a crash mid-write
-leaves either the previous checkpoint or none — never a half-written file.
+payload is a pickled :class:`Checkpoint`.  Writes go through
+:func:`write_atomic` (temp file in the same directory, fsync, then
+``os.replace``) — the one durable write the job store, the result cache
+and the dictionary artifacts share — so a crash mid-write leaves either
+the previous checkpoint or none, never a half-written file.
 Reads verify the magic and the digest, so truncation or corruption
 surfaces as a :class:`CheckpointError` with a one-line diagnostic instead
 of a pickle traceback or, worse, silently wrong simulation state.
@@ -87,12 +89,15 @@ def circuit_fingerprint(circuit) -> str:
     return config_fingerprint(circuit.name, structure)
 
 
-def write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
-    """Atomically write *checkpoint* to *path* (temp file + rename)."""
-    data = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = MAGIC + hashlib.sha256(data).digest() + data
+def write_atomic(path: str, blob: bytes) -> None:
+    """Durably replace *path* with *blob*: the one atomic write.
+
+    A temp file in the target's directory is written, flushed, fsynced and
+    renamed over *path*, so a crash leaves the previous file or the new
+    one, never a torn one; on any failure the temp file is unlinked.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
@@ -105,6 +110,12 @@ def write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
         except OSError:
             pass
         raise
+
+
+def write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
+    """Atomically write *checkpoint* to *path* (see :func:`write_atomic`)."""
+    data = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
+    write_atomic(path, MAGIC + hashlib.sha256(data).digest() + data)
 
 
 def checkpoint_files(path: str) -> List[str]:

@@ -1,18 +1,14 @@
-"""Failure-isolation guards: tracer sandboxing and the invariant checker.
+"""The engine invariant checker and its phase-boundary face.
 
-Two guards the chaos harness (:mod:`repro.robust.chaos`) exercises:
-
-* :class:`GuardedTracer` wraps any :class:`repro.obs.Tracer` so that an
-  exception raised inside a hook — observability code, by definition not
-  allowed to take the simulation down — disarms tracing instead of
-  crashing the run.  The first failure is kept for diagnostics; everything
-  recorded before it is still available through :meth:`telemetry`.
-* :func:`invariant_violations` is the one engine invariant checker.  The
-  engine ladder calls it after a run and degrades to a sturdier engine on
-  any violation; :class:`FaultListSanitizer` (``SimOptions.sanitize`` /
-  ``--sanitize``) calls it at every phase boundary of every cycle and
-  raises :class:`SanitizerError` on the first violation, naming the cycle
-  and boundary.
+:func:`invariant_violations` is the one engine invariant checker.  The
+engine ladder calls it after a run and degrades to a sturdier engine on
+any violation; :class:`FaultListSanitizer` (``SimOptions.sanitize`` /
+``--sanitize``) calls it at every phase boundary of every cycle and
+raises :class:`SanitizerError` on the first violation, naming the cycle
+and boundary.  The three injection classes of :mod:`repro.robust.chaos`
+exercise it: dropped events (which break no invariant, so only the
+ladder's serial spot-check sees them), a poisoned fault element, and one
+seeded violation per invariant class listed below.
 
 The concurrent engines' correctness rests on structural invariants of
 their fault lists that no single phase re-checks.  A corruption — a bug,
@@ -51,93 +47,10 @@ cycle.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.faults.model import Fault
 from repro.logic.values import VALUES
-from repro.obs.tracer import Tracer
-
-
-class GuardedTracer(Tracer):
-    """Proxy tracer that survives failures of the tracer it wraps.
-
-    After the first hook exception the inner tracer is disarmed: further
-    hooks are no-ops, ``failure`` holds the exception, and the simulation
-    continues untraced.  ``KeyboardInterrupt``/``SystemExit`` still
-    propagate — a guard must never eat a user interrupt.
-    """
-
-    def __init__(self, inner: Tracer) -> None:
-        self.inner: Optional[Tracer] = inner
-        self.failure: Optional[BaseException] = None
-        self.failed_hook: Optional[str] = None
-        self.enabled = bool(getattr(inner, "enabled", False))
-
-    def _call(self, hook: str, *args, **kwargs):
-        inner = self.inner
-        if inner is None:
-            return None
-        try:
-            return getattr(inner, hook)(*args, **kwargs)
-        except Exception as exc:
-            self.failure = exc
-            self.failed_hook = hook
-            self.inner = None
-            self.enabled = False
-            return None
-
-    # One explicit stub per protocol hook: engines call these directly.
-    def run_start(self, engine, circuit):
-        self._call("run_start", engine, circuit)
-
-    def run_end(self, wall_seconds):
-        self._call("run_end", wall_seconds)
-
-    def cycle_start(self, cycle):
-        self._call("cycle_start", cycle)
-
-    def cycle_end(self, cycle, live=0, visible=0, invisible=0):
-        self._call("cycle_end", cycle, live=live, visible=visible, invisible=invisible)
-
-    def phase_time(self, phase, seconds):
-        self._call("phase_time", phase, seconds)
-
-    def good_evals(self, gate, count=1):
-        self._call("good_evals", gate, count)
-
-    def fault_evals(self, gate, count=1):
-        self._call("fault_evals", gate, count)
-
-    def element_visits(self, gate, count):
-        self._call("element_visits", gate, count)
-
-    def event(self, gate):
-        self._call("event", gate)
-
-    def scheduled(self, gate, level):
-        self._call("scheduled", gate, level)
-
-    def diverge(self, gate, fid, visible=True):
-        self._call("diverge", gate, fid, visible)
-
-    def converge(self, gate, fid):
-        self._call("converge", gate, fid)
-
-    def detect(self, fid, cycle, potential=False):
-        self._call("detect", fid, cycle, potential=potential)
-
-    def drop(self, fid, cycle):
-        self._call("drop", fid, cycle)
-
-    def budget_breach(self, kind, limit, actual):
-        self._call("budget_breach", kind, limit, actual)
-
-    def fallback(self, engine, to, reason):
-        self._call("fallback", engine, to, reason)
-
-    def telemetry(self):
-        inner = self.inner
-        return inner.telemetry() if inner is not None else None
 
 
 def invariant_violations(simulator: Any) -> List[str]:

@@ -4,31 +4,34 @@ The concurrent engines are fast because they share the good machine and
 carry faults as list elements — a subtle representation with subtle
 failure modes.  :func:`run_with_ladder` runs the preferred engine first
 and *audits* the result: structural invariants on the live simulator
-(:func:`repro.robust.guards.invariant_violations`) plus a sampled serial
-spot-check against :class:`repro.sim.logicsim.LogicSimulator`, the
+(:func:`repro.robust.guards.invariant_violations`) plus a sampled
+spot-check against :func:`repro.baselines.serial.simulate_serial`, the
 one-fault-at-a-time oracle.  On any audit failure, engine crash, or
-repeated budget breach, it backs off and retries one rung down the
-ladder, recording every fallback in telemetry and on the result, until
-the final rung — the serial oracle itself, which needs no audit.
+repeated budget breach, it retries one rung down the ladder, recording
+every fallback in telemetry and on the result, until the final rung —
+the serial oracle itself, which needs no audit.
+
+Of the three injection classes ``tests/test_chaos.py`` covers
+(:mod:`repro.robust.chaos`), two land on a rung: dropped events must fail
+the spot-check, and a poisoned fault element must fail the invariant
+check or crash its engine.  The third, a truncated checkpoint, is
+:func:`repro.robust.checkpoint.read_checkpoint`'s to refuse; a laddered
+run writes no checkpoints.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
 import random
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.serial import simulate_serial
 from repro.circuit.netlist import Circuit
 from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import make_stuck_at_simulator
-from repro.logic.values import is_binary
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
 from repro.robust.budget import Budget
 from repro.robust.guards import invariant_violations
-from repro.sim.logicsim import LogicSimulator
 
 #: Fastest first, oracle last.  ``csim-MV`` (split lists + macros) is the
 #: paper's flagship configuration; plain ``csim`` drops the two
@@ -43,6 +46,12 @@ DEFAULT_LADDER: Tuple[str, ...] = ("csim-MV", "csim", "serial")
 #: ladder when ``--ladder`` is combined with ``--engine vsim``.
 VECTOR_LADDER: Tuple[str, ...] = ("vsim", "csim-MV", "csim", "serial")
 
+#: Seed of the spot-check's fault sample, so an audit is reproducible.
+SPOT_CHECK_SEED = 1992
+
+#: Reruns a budget-truncated rung gets before the ladder descends.
+BUDGET_RETRIES = 1
+
 
 def oracle_spot_check(
     circuit: Circuit,
@@ -50,40 +59,26 @@ def oracle_spot_check(
     result: FaultSimResult,
     faults=None,
     sample_size: int = 8,
-    seed: int = 1992,
 ) -> List[Dict[str, object]]:
     """Re-simulate a seeded fault sample serially; report disagreements.
 
-    For each sampled fault the oracle's first-detection cycle (first cycle
-    where a primary output differs binarily from the good machine) must
-    match ``result.detected`` exactly — same cycle, or absent from both.
+    For each sampled fault the oracle's first-detection cycle
+    (:func:`repro.baselines.serial.simulate_serial`: the first cycle where
+    a primary output differs binarily from the good machine) must match
+    ``result.detected`` exactly — same cycle, or absent from both.
     Returns one record per discrepancy; empty means the sample agrees.
     """
     universe = sorted(faults) if faults is not None else stuck_at_universe(circuit)
     if not universe:
         return []
-    rng = random.Random(seed)
     if sample_size >= len(universe):
         sample = list(universe)
     else:
-        sample = rng.sample(universe, sample_size)
-
-    good = LogicSimulator(circuit)
-    good_outputs = [good.step(vector) for vector in tests.vectors]
-
+        sample = random.Random(SPOT_CHECK_SEED).sample(universe, sample_size)
+    oracle = simulate_serial(circuit, tests.vectors, sample).detected
     discrepancies: List[Dict[str, object]] = []
     for fault in sample:
-        machine = LogicSimulator(circuit, fault)
-        expected: Optional[int] = None
-        for cycle, vector in enumerate(tests.vectors, start=1):
-            outputs = machine.step(vector)
-            reference = good_outputs[cycle - 1]
-            if any(
-                is_binary(g) and is_binary(f) and g != f
-                for g, f in zip(reference, outputs)
-            ):
-                expected = cycle
-                break
+        expected = oracle.get(fault)
         got = result.detected.get(fault)
         if got != expected:
             discrepancies.append(
@@ -106,10 +101,7 @@ def run_with_ladder(
     faults=None,
     tracer=None,
     budget: Optional[Budget] = None,
-    budget_retries: int = 1,
-    backoff_seconds: float = 0.0,
     spot_check_sample: int = 8,
-    seed: int = 1992,
     simulator_factory: Optional[Callable[[str, Circuit, object, object], object]] = None,
     word_width: Optional[int] = None,
 ) -> FaultSimResult:
@@ -117,9 +109,8 @@ def run_with_ladder(
 
     Each non-serial rung runs its engine, then audits: structural
     invariants on the simulator, then the serial spot-check on a seeded
-    fault sample.  Failures descend one rung (after ``backoff_seconds`` ×
-    number of fallbacks so far); a budget-truncated run is retried on the
-    same rung up to ``budget_retries`` times before descending.  The
+    fault sample.  Failures descend one rung at once; a budget-truncated
+    run is retried once on the same rung before descending.  The
     ``serial`` rung is terminal — it *is* the oracle, so its result (even
     truncated) is returned as-is.
 
@@ -139,8 +130,6 @@ def run_with_ladder(
     def _descend(engine: str, rung_index: int, reason: str) -> None:
         to = ladder[rung_index + 1] if rung_index + 1 < len(ladder) else "<none>"
         _record_fallback(fallbacks, tracer, engine, to, reason)
-        if backoff_seconds:
-            time.sleep(backoff_seconds * len(fallbacks))
 
     for rung_index, engine in enumerate(ladder):
         last_rung = rung_index == len(ladder) - 1
@@ -170,9 +159,7 @@ def run_with_ladder(
 
             if result.truncated:
                 breaches += 1
-                if breaches <= budget_retries:
-                    if backoff_seconds:
-                        time.sleep(backoff_seconds * breaches)
+                if breaches <= BUDGET_RETRIES:
                     continue
                 _descend(
                     engine,
@@ -192,7 +179,6 @@ def run_with_ladder(
                 result,
                 faults=simulator.faults,
                 sample_size=spot_check_sample,
-                seed=seed,
             )
             if discrepancies:
                 _descend(

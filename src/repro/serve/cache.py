@@ -16,8 +16,8 @@ two bit-identical outcomes produce byte-identical documents and a cache
 hit returns exactly the bytes the first run stored.
 
 Entries live as ``<key>.json`` files under the service state directory,
-written atomically (temp file + ``os.replace``) so a killed worker never
-leaves a torn cache entry.
+written atomically (:func:`repro.robust.checkpoint.write_atomic`) so a
+killed worker never leaves a torn cache entry.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Iterable, List, Optional
 
 from repro.circuit.netlist import Circuit
@@ -33,7 +32,7 @@ from repro.faults.model import Fault, fault_name
 from repro.logic.values import value_to_char
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
-from repro.robust.checkpoint import circuit_fingerprint
+from repro.robust.checkpoint import circuit_fingerprint, write_atomic
 from repro.serve.spec import JobSpec
 
 
@@ -130,19 +129,7 @@ class ResultCache:
             return None
 
     def put(self, key: str, blob: bytes) -> None:
-        fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(self._path(key), blob)
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

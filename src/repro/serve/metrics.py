@@ -21,23 +21,8 @@ from bisect import bisect_left
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
+from repro import package_version
 from repro.result import WorkCounters
-
-
-def service_version() -> str:
-    """The running package version (installed distribution or source tree)."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            return version("repro")
-        except PackageNotFoundError:
-            pass
-    except ImportError:  # pragma: no cover - Python < 3.8
-        pass
-    from repro import __version__
-
-    return str(__version__)
 
 #: Geometric latency bucket upper bounds, in seconds.
 LATENCY_BUCKETS = tuple(
@@ -236,7 +221,7 @@ class ServiceMetrics:
             for size, count in self.batch_size_counts.items():
                 sizes.extend([size] * count)
             return {
-                "version": service_version(),
+                "version": package_version(),
                 "started_at": self.started_at,
                 "uptime_seconds": time.time() - self.started_at,
                 "draining": draining,

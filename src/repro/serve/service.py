@@ -23,7 +23,7 @@ existing engines:
   contract).
 * **Leases + the reaper** — claiming a batch writes a lease (owner id +
   expiry) onto every :class:`JobRecord` in it; the executing worker
-  renews the batch's leases from the engine's per-cycle tracer hook, and
+  renews the batch's leases from the engine's tracer hooks, and
   shard *processes* heartbeat implicitly through their periodic
   checkpoint writes (:func:`repro.robust.checkpoint.latest_checkpoint_mtime`).
   A reaper thread (:meth:`FaultSimService.reap`) re-queues expired-lease
@@ -61,6 +61,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from repro import package_version
 from repro.campaign import execute
 from repro.circuit.netlist import NetlistError
 from repro.obs.span import SpanWriter, TraceContext
@@ -75,7 +76,7 @@ from repro.robust.checkpoint import (
 )
 from repro.serve.batch import Batcher
 from repro.serve.cache import ResultCache, cache_key, serialize_result
-from repro.serve.metrics import ServiceMetrics, service_version
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.queue import JobQueue, QueueFull
 from repro.serve.spec import JobSpec, ResolvedJob, SpecError, SpecResolver
 from repro.serve.store import TERMINAL_STATES, JobRecord, JobStore
@@ -163,8 +164,8 @@ class ServeConfig:
     #: How long a claimed job may go without a heartbeat before the
     #: reaper presumes its worker dead and re-queues the job.  The
     #: executing worker renews its leases every ``lease_ttl / 3`` from its
-    #: per-cycle hook, and the reaper sweeps every ``max(lease_ttl / 4,
-    #: 0.05)`` seconds.
+    #: engine's tracer hooks, and the reaper sweeps every
+    #: ``max(lease_ttl / 4, 0.05)`` seconds.
     lease_ttl: float = 30.0
     #: Execution attempts per job before dead-lettering (a job spec's
     #: ``max_attempts`` overrides per job).
@@ -182,9 +183,14 @@ class _LeaseHeartbeat(Tracer):
     Engines fire hooks whenever a tracer object is present (``enabled``
     only gates expensive hook-argument construction), so overriding just
     ``cycle_end`` with ``enabled = False`` buys a per-cycle callback at
-    near-zero instrumentation cost.  ``telemetry()`` stays the base
-    ``None``, so heartbeating never attaches telemetry to the result and
-    the serialized outcome remains bit-identical to an untracered run.
+    near-zero instrumentation cost.  The serial oracle fires ``cycle_end``
+    only in its good-machine pass; its faulty-machine loop reports one
+    bulk ``fault_evals(None, n)`` per machine cycle, so for a serial run
+    :meth:`run_start` makes that hook beat too.  Every other engine calls
+    ``fault_evals`` per gate and keeps the base no-op.  ``telemetry()``
+    stays the base ``None``, so heartbeating never attaches telemetry to
+    the result and the serialized outcome remains bit-identical to an
+    untracered run.
     """
 
     enabled = False
@@ -194,7 +200,18 @@ class _LeaseHeartbeat(Tracer):
         self._every = every
         self._last = time.monotonic()
 
+    def run_start(self, engine: str, circuit: str) -> None:
+        # One heartbeat serves one batch, and a batch runs one engine.
+        if engine == "serial":
+            self.fault_evals = self._beat  # type: ignore[method-assign]
+
     def cycle_end(self, cycle: int, **stats: object) -> None:
+        self._beat()
+
+    def _beat(self, gate: Optional[int] = None, count: int = 1) -> None:
+        """Renew the leases at most once per ``every`` seconds; takes
+        ``fault_evals``'s arguments so :meth:`run_start` can install it as
+        that hook."""
         now = time.monotonic()
         if now - self._last >= self._every:
             self._last = now
@@ -333,7 +350,7 @@ class FaultSimService:
         return {
             "status": "draining" if self.draining else "ok",
             "draining": self.draining,
-            "version": service_version(),
+            "version": package_version(),
             "started_at": self.metrics.started_at,
             "uptime_seconds": time.time() - self.metrics.started_at,
             "workers_alive": sum(1 for w in self._workers if w.is_alive()),

@@ -5,9 +5,10 @@ A :class:`JobRecord` is the durable state machine of one submission
 ``queued``, ``queued`` reachable again from ``running`` on a transient
 failure or an expired lease, and ``dead`` — the dead-letter state — once
 the retry budget is exhausted).  Every transition is flushed to
-``<state_dir>/jobs/<job_id>.json`` via the same temp-file + ``os.replace``
-pattern the checkpoint layer uses, so a killed service process leaves
-every record either in its previous state or its next one — never torn.
+``<state_dir>/jobs/<job_id>.json`` through the checkpoint layer's
+:func:`repro.robust.checkpoint.write_atomic`, so a killed service process
+leaves every record either in its previous state or its next one — never
+torn.
 Result payloads are *not* stored inline: a record carries its
 ``cache_key`` and the result bytes live in per-job files under
 ``<state_dir>/results/`` (and in the content-addressed cache), keeping
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
+
+from repro.robust.checkpoint import write_atomic
 
 #: The legal job states, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "dead")
@@ -187,19 +189,7 @@ class JobStore:
     def save(self, record: JobRecord) -> None:
         """Atomically flush *record* and update the index."""
         blob = json.dumps(asdict(record), sort_keys=True).encode()
-        fd, tmp_path = tempfile.mkstemp(dir=self.jobs_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self._record_path(record.job_id))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(self._record_path(record.job_id), blob)
         with self._lock:
             self._records[record.job_id] = record
 
@@ -245,19 +235,7 @@ class JobStore:
     # -- result blobs ---------------------------------------------------
 
     def write_result(self, job_id: str, blob: bytes) -> None:
-        fd, tmp_path = tempfile.mkstemp(dir=self.results_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.result_path(job_id))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.result_path(job_id), blob)
 
     def read_result(self, job_id: str) -> Optional[bytes]:
         try:

@@ -1,9 +1,8 @@
 """Chaos harness tests: every injected failure is detected or recovered.
 
-The four injection classes of :mod:`repro.robust.chaos`, each asserted
+Three injection classes of :mod:`repro.robust.chaos`, each asserted
 against the guard that must catch it:
 
-* tracer hook exceptions   -> GuardedTracer disarms, run completes
 * dropped events           -> ladder's serial spot-check catches, degrades
 * corrupted list elements  -> invariant check or crash, ladder degrades
 * truncated checkpoints    -> read_checkpoint refuses with a clean error
@@ -19,17 +18,14 @@ from repro.patterns.vectors import TestSequence
 from repro.robust import (
     Checkpoint,
     CheckpointError,
-    GuardedTracer,
     invariant_violations,
     read_checkpoint,
     run_with_ladder,
     write_checkpoint,
 )
 from repro.robust.chaos import (
-    ChaosError,
     ElementCorruptionChaos,
     EventDropChaos,
-    HookBombTracer,
     chaos_simulator_factory,
     truncate_file,
 )
@@ -51,51 +47,6 @@ def short_tests(s27_tests):
     elements are still live at the end of the run — so a corrupted
     element cannot be masked by fault dropping."""
     return TestSequence(s27_tests.num_inputs, s27_tests.vectors[:4])
-
-
-class TestHookBomb:
-    def test_bomb_detonates_unguarded(self, s27, s27_tests):
-        with pytest.raises(ChaosError, match="hook bomb"):
-            run_stuck_at(
-                s27, s27_tests, "csim-MV", tracer=HookBombTracer(detonate_after=25)
-            )
-
-    def test_guarded_tracer_contains_the_blast(self, s27, s27_tests):
-        reference = run_stuck_at(s27, s27_tests, "csim-MV")
-        guard = GuardedTracer(HookBombTracer(detonate_after=25))
-        result = run_stuck_at(s27, s27_tests, "csim-MV", tracer=guard)
-        assert result.detected == reference.detected
-        assert result.counters == reference.counters
-        assert isinstance(guard.failure, ChaosError)
-        assert guard.failed_hook is not None
-        assert guard.inner is None  # disarmed after first failure
-
-    def test_guarded_recording_tracer_keeps_prefix(self, s27, s27_tests):
-        """A guarded tracer that fails mid-run still serves what it
-        recorded before the failure... unless disarmed; telemetry is then
-        None rather than half-consistent."""
-
-        class FlakyRecording(RecordingTracer):
-            def cycle_start(self, cycle):
-                if cycle == 5:
-                    raise ChaosError("flaky observer")
-                super().cycle_start(cycle)
-
-        guard = GuardedTracer(FlakyRecording())
-        result = run_stuck_at(s27, s27_tests, "csim-MV", tracer=guard)
-        assert guard.failed_hook == "cycle_start"
-        assert result.telemetry is None
-
-    def test_interrupt_is_never_eaten(self, s27, s27_tests):
-        class InterruptingTracer(RecordingTracer):
-            def cycle_start(self, cycle):
-                if cycle == 3:
-                    raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_stuck_at(
-                s27, s27_tests, "csim-MV", tracer=GuardedTracer(InterruptingTracer())
-            )
 
 
 class TestEventDropping:

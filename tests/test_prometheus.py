@@ -13,9 +13,9 @@ import urllib.request
 
 import pytest
 
+from repro import package_version
 from repro.obs.prometheus import parse_prometheus_text, render_prometheus
 from repro.serve import FaultSimService, ServeConfig, make_server
-from repro.serve.metrics import service_version
 
 SNAPSHOT = {
     "version": "1.2.3",
@@ -131,7 +131,7 @@ class TestHttpNegotiation:
         snapshot = json.loads(body)
         for section in ("jobs", "queue", "cache", "batch", "latency", "counters"):
             assert section in snapshot
-        assert snapshot["version"] == service_version()
+        assert snapshot["version"] == package_version()
         assert snapshot["uptime_seconds"] >= 0.0
         assert snapshot["started_at"] == pytest.approx(
             service.metrics.started_at

@@ -2,12 +2,14 @@
 
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
 from repro.campaign import Campaign, execute
 from repro.circuit.library import load
 from repro.concurrent.options import SimOptions
+from repro.diagnosis.store import write_dictionary
 from repro.harness.runner import run_stuck_at, run_transition, workload_tests
 from repro.obs import RecordingTracer
 from repro.obs.tracer import Tracer
@@ -28,7 +30,8 @@ from repro.robust import (
 )
 from repro.robust.budget import BudgetBreach
 from repro.robust.ladder import oracle_spot_check
-from repro.serve.cache import serialize_result
+from repro.serve.cache import ResultCache, serialize_result
+from repro.serve.store import JobRecord, JobStore
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,73 @@ class TestCheckpointFile:
         other = load("s298", scale=0.25)
         assert circuit_fingerprint(s27) != circuit_fingerprint(other)
         assert config_fingerprint("a", 1) != config_fingerprint("a", 2)
+
+
+def _write_checkpoint(directory, blob):
+    path = os.path.join(directory, "ck.pkl")
+    write_checkpoint(path, Checkpoint("run", "fp", {"blob": blob}))
+    return path
+
+
+def _write_job_record(directory, blob):
+    store = JobStore(directory)
+    store.save(JobRecord("job-000001", {"note": blob.decode()}))
+    return os.path.join(store.jobs_dir, "job-000001.json")
+
+
+def _write_job_result(directory, blob):
+    store = JobStore(directory)
+    store.write_result("job-000001", blob)
+    return store.result_path("job-000001")
+
+
+def _write_cache_entry(directory, blob):
+    ResultCache(directory).put("key", blob)
+    return os.path.join(directory, "key.json")
+
+
+def _write_dictionary(directory, blob):
+    path = os.path.join(directory, "artifacts", "s27.dict.json")
+    write_dictionary(path, blob)
+    return path
+
+
+DURABLE_WRITERS = {
+    "checkpoint": _write_checkpoint,
+    "job-record": _write_job_record,
+    "job-result": _write_job_result,
+    "cache-entry": _write_cache_entry,
+    "dictionary": _write_dictionary,
+}
+
+
+@pytest.mark.parametrize(
+    "writer", list(DURABLE_WRITERS.values()), ids=list(DURABLE_WRITERS)
+)
+def test_durable_write(tmp_path, monkeypatch, writer):
+    """Each writer fsyncs before its rename, and a failed rename leaves
+    the previous file intact and no temp file behind."""
+    synced = []
+    real_fsync = os.fsync
+
+    def spy_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    path = writer(str(tmp_path), b"first")
+    assert synced
+    previous = Path(path).read_bytes()
+    files = sorted(tmp_path.rglob("*"))
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        writer(str(tmp_path), b"second")
+    assert Path(path).read_bytes() == previous
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 class TestBudget:
@@ -461,9 +531,7 @@ class TestLadder:
         # A 0-cycle budget breaches on every rung; after the retries the
         # ladder lands on serial, whose wall-clock-only budget is unlimited
         # here, so the run completes there.
-        result = run_with_ladder(
-            s27, s27_tests, budget=Budget(max_cycles=0), budget_retries=1
-        )
+        result = run_with_ladder(s27, s27_tests, budget=Budget(max_cycles=0))
         assert result.engine == "serial"
         assert len(result.fallbacks) == 2
         assert all("budget breached 2x" in f["reason"] for f in result.fallbacks)

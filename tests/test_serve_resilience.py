@@ -439,6 +439,28 @@ class TestReaperThread:
         assert service.drain() == 1
         assert service.result_bytes(record.job_id) == direct_blob(5)
 
+    def test_serial_job_renews_its_lease(self, tmp_path):
+        """The serial oracle fires ``cycle_end`` only in its good-machine
+        pass and writes no checkpoint, so its faulty-machine loop must
+        renew the lease: a serial job outliving the TTL several times over
+        still finishes on its first attempt.  The cache is off, so a lost
+        attempt cannot be rescued by a blob it cached before the reap."""
+        service = make_service(tmp_path, lease_ttl=0.3, cache_results=False)
+        record, _ = service.submit(
+            {"circuit": "s298", "random_patterns": 8, "seed": 3, "engine": "serial"}
+        )
+        service.start()  # workers=0: only the reaper runs
+        started = time.monotonic()
+        try:
+            assert service.process_once() == 1
+        finally:
+            service.stop()
+        assert time.monotonic() - started > 2 * service.config.lease_ttl
+        finished = service.status(record.job_id)
+        assert finished.state == "done", finished.error
+        assert finished.attempts == 1
+        assert service.metrics.lease_renewals > 0
+
     def test_checkpoint_mtime_counts_as_heartbeat(self, tmp_path):
         """A fresh checkpoint keeps an expired-lease job off the reap list."""
         service = make_service(tmp_path, lease_ttl=0.2)
