@@ -8,33 +8,36 @@ logic).  The lint pass reports *all* findings at once, each with a
 severity tier and a ``file:line`` location threaded from the parser:
 
 ``error``
-    The circuit cannot be simulated (or simulates meaninglessly):
-    unparsable lines, duplicate definitions, references to undriven
-    signals, missing primary outputs, combinational cycles (with one
-    concrete cycle path printed).
+    The circuit cannot be simulated: every rule of the netlist front end
+    it breaks (unparsable lines, unknown keywords, bad arity, duplicate
+    definitions and ``OUTPUT`` declarations, references to undefined
+    signals, undefined or missing primary outputs, combinational cycles
+    with one concrete cycle path printed), with the message
+    :func:`repro.circuit.bench.parse_bench` raises for it.
 ``warning``
-    Legal but suspicious: duplicate OUTPUT declarations, gates and
-    inputs that drive nothing, flip-flops latching their own output
-    directly, logic cones no primary output can observe.
+    Legal but suspicious: gates and inputs that drive nothing,
+    flip-flops latching their own output directly, logic cones no
+    primary output can observe.
 ``info``
     Structure worth knowing about: constant nets (declared or derived),
     fanout and depth outliers, SCOAP hard-to-test extremes, and the
     structurally-untestable fault count.
 
-Unlike :func:`repro.circuit.bench.parse_bench`, the lint front end parses
-leniently: a broken line becomes an error diagnostic, not an exception,
-so one run reports every defect in a bad netlist.  Graph checks run on a
-uniform intermediate form shared by both entry points
-(:func:`lint_bench_text` for source text, :func:`lint_circuit` for built
-circuits); deeper semantic checks (observability, constants, SCOAP) run
-only once the circuit actually builds.
+Source text goes through the parser's one reader
+(:func:`repro.circuit.bench.read_bench`), which records every broken
+rule instead of raising the first.  The graph checks run on the gates
+that resolve, so they work on a netlist that cannot build, and are the
+same for both entry points (:func:`lint_bench_text` for source text,
+:func:`lint_circuit` for built circuits); deeper semantic checks
+(observability, constants, SCOAP) run only once the circuit builds.
 """
 
 from __future__ import annotations
 
+import json
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.analyze.scoap import INF, scoap
 from repro.analyze.untestable import (
@@ -42,8 +45,9 @@ from repro.analyze.untestable import (
     observable_gates,
     prune_untestable,
 )
-from repro.circuit.bench import _ASSIGN_RE, _DECL_RE, _GATE_KEYWORDS
-from repro.circuit.netlist import Circuit, NetlistError
+from repro.circuit.bench import bench_stem, read_bench
+from repro.circuit.levelize import LevelizationError, level_gates
+from repro.circuit.netlist import Circuit, Gate, NetlistError
 from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
 from repro.logic.values import X
@@ -99,200 +103,36 @@ def has_findings(diagnostics: Sequence[Diagnostic], fail_on: str = "error") -> b
     return any(severity_rank(d.severity) <= threshold for d in diagnostics)
 
 
+def _error(exc: NetlistError, file: str) -> Diagnostic:
+    return Diagnostic("error", exc.code, str(exc), file, exc.line)
+
+
 # ---------------------------------------------------------------------------
-# lenient intermediate form
+# graph checks (run on the gates that resolve — no build needed)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Node:
-    name: str
-    gtype: Optional[GateType]  # None for unknown keywords
-    fanin: Tuple[str, ...]
-    line: int
-
-
-@dataclass
-class _Ir:
-    """What both lint entry points reduce a circuit to."""
-
-    name: str
-    nodes: List[_Node]
-    index: Dict[str, int]  # first definition wins
-    outputs: List[Tuple[str, int]]  # (signal, declaration line)
-
-
-def _parse_lenient(text: str, name: str) -> Tuple[_Ir, List[Diagnostic]]:
-    """Parse ``.bench`` text, turning every defect into a diagnostic."""
-    ir = _Ir(name=name, nodes=[], index={}, outputs=[])
+def _graph_diagnostics(
+    file: str, gates: Sequence[Gate], outputs: Sequence[int]
+) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
-    seen_outputs: Dict[str, int] = {}
+    observed = set(outputs)
 
-    def error(code: str, message: str, line: int) -> None:
-        diagnostics.append(Diagnostic("error", code, message, name, line))
-
-    def define(node: _Node) -> None:
-        first = ir.index.get(node.name)
-        if first is not None:
-            error(
-                "duplicate-definition",
-                f"signal {node.name!r} defined twice "
-                f"(first defined at line {ir.nodes[first].line})",
-                node.line,
-            )
-            return
-        ir.index[node.name] = len(ir.nodes)
-        ir.nodes.append(node)
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+    sink_count = [0] * len(gates)
+    for gate in gates:
+        for source in gate.fanin:
+            sink_count[source] += 1
+    for gate in gates:
+        if sink_count[gate.index] or gate.index in observed:
             continue
-
-        declaration = _DECL_RE.match(line)
-        if declaration:
-            kind = declaration.group("kind").upper()
-            signal = declaration.group("name")
-            if kind == "INPUT":
-                define(_Node(signal, GateType.INPUT, (), line_number))
-            else:
-                first = seen_outputs.get(signal)
-                if first is not None:
-                    diagnostics.append(
-                        Diagnostic(
-                            "warning",
-                            "duplicate-output",
-                            f"output {signal!r} declared twice "
-                            f"(first declared at line {first})",
-                            name,
-                            line_number,
-                        )
-                    )
-                else:
-                    seen_outputs[signal] = line_number
-                    ir.outputs.append((signal, line_number))
-            continue
-
-        assignment = _ASSIGN_RE.match(line)
-        if assignment is None:
-            error("parse", f"cannot parse line: {line!r}", line_number)
-            continue
-
-        signal = assignment.group("name")
-        keyword = assignment.group("kind").upper()
-        args = tuple(
-            token.strip()
-            for token in assignment.group("args").split(",")
-            if token.strip()
-        )
-        gtype = _GATE_KEYWORDS.get(keyword)
-        if gtype is None:
-            error("unknown-keyword", f"unknown gate keyword {keyword!r}", line_number)
-            define(_Node(signal, None, args, line_number))
-            continue
-        if gtype is GateType.DFF and len(args) != 1:
-            error(
-                "bad-arity",
-                f"DFF {signal!r} must have exactly one fanin, has {len(args)}",
-                line_number,
-            )
-        elif gtype in (GateType.BUF, GateType.NOT) and len(args) != 1:
-            error(
-                "bad-arity",
-                f"{keyword} gate {signal!r} must have exactly one fanin, "
-                f"has {len(args)}",
-                line_number,
-            )
-        elif gtype in (GateType.CONST0, GateType.CONST1) and args:
-            error(
-                "bad-arity", f"constant gate {signal!r} must have no fanin", line_number
-            )
-        elif not args and gtype not in (GateType.CONST0, GateType.CONST1):
-            error("bad-arity", f"gate {signal!r} has no fanin", line_number)
-        define(_Node(signal, gtype, args, line_number))
-
-    return ir, diagnostics
-
-
-def _ir_from_circuit(circuit: Circuit) -> _Ir:
-    gates = circuit.gates
-    nodes = [
-        _Node(
-            gate.name,
-            gate.gtype,
-            tuple(gates[s].name for s in gate.fanin),
-            gate.line,
-        )
-        for gate in gates
-    ]
-    return _Ir(
-        name=circuit.name,
-        nodes=nodes,
-        index={gate.name: gate.index for gate in gates},
-        outputs=[(gates[i].name, gates[i].line) for i in circuit.outputs],
-    )
-
-
-# ---------------------------------------------------------------------------
-# graph checks (run on the IR — work even when the circuit cannot build)
-# ---------------------------------------------------------------------------
-
-
-def _graph_diagnostics(ir: _Ir) -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-    file = ir.name
-    output_names = {name for name, _ in ir.outputs}
-
-    # Undriven references.
-    for node in ir.nodes:
-        for source in node.fanin:
-            if source not in ir.index:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "undriven-net",
-                        f"gate {node.name!r} references undriven signal {source!r}",
-                        file,
-                        node.line,
-                    )
-                )
-
-    # Output declarations.
-    if not ir.outputs:
-        diagnostics.append(
-            Diagnostic(
-                "error", "no-outputs", "circuit declares no primary outputs", file
-            )
-        )
-    for name, line in ir.outputs:
-        if name not in ir.index:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "undefined-output",
-                    f"output {name!r} is not a defined signal",
-                    file,
-                    line,
-                )
-            )
-
-    # Fanout census over defined signals.
-    sink_count: Dict[str, int] = {node.name: 0 for node in ir.nodes}
-    for node in ir.nodes:
-        for source in node.fanin:
-            if source in sink_count:
-                sink_count[source] += 1
-    for node in ir.nodes:
-        if sink_count[node.name] or node.name in output_names:
-            continue
-        if node.gtype is GateType.INPUT:
+        if gate.gtype is GateType.INPUT:
             diagnostics.append(
                 Diagnostic(
                     "warning",
                     "unused-input",
-                    f"primary input {node.name!r} drives nothing",
+                    f"primary input {gate.name!r} drives nothing",
                     file,
-                    node.line,
+                    gate.line,
                 )
             )
         else:
@@ -300,175 +140,65 @@ def _graph_diagnostics(ir: _Ir) -> List[Diagnostic]:
                 Diagnostic(
                     "warning",
                     "dangling-net",
-                    f"gate {node.name!r} drives nothing and is not an output",
+                    f"gate {gate.name!r} drives nothing and is not an output",
                     file,
-                    node.line,
+                    gate.line,
                 )
             )
 
-    # Flip-flop direct self-loops.
-    for node in ir.nodes:
-        if node.gtype is GateType.DFF and node.fanin and node.fanin[0] == node.name:
+    for gate in gates:
+        if gate.gtype is GateType.DFF and gate.fanin == (gate.index,):
             diagnostics.append(
                 Diagnostic(
                     "warning",
                     "dff-self-loop",
-                    f"flip-flop {node.name!r} latches its own output",
+                    f"flip-flop {gate.name!r} latches its own output",
                     file,
-                    node.line,
+                    gate.line,
                 )
             )
 
-    diagnostics.extend(_cycle_diagnostics(ir))
-    diagnostics.extend(_shape_diagnostics(ir, sink_count))
-    return diagnostics
-
-
-def _is_comb(node: _Node) -> bool:
-    return node.gtype is not None and node.gtype not in (
-        GateType.INPUT,
-        GateType.DFF,
-    )
-
-
-def _cycle_diagnostics(ir: _Ir) -> List[Diagnostic]:
-    """Kahn's algorithm over the combinational subgraph; on leftovers, a
-    DFS pins down one concrete cycle to print."""
-    comb = [i for i, node in enumerate(ir.nodes) if _is_comb(node)]
-    comb_set = set(comb)
-    pending = {i: 0 for i in comb}
-    sinks: Dict[int, List[int]] = {i: [] for i in comb}
-    for i in comb:
-        for source in ir.nodes[i].fanin:
-            j = ir.index.get(source)
-            if j in comb_set:
-                pending[i] += 1
-                sinks[j].append(i)
-    ready = [i for i in comb if pending[i] == 0]
-    settled = 0
-    while ready:
-        settled += 1
-        for sink in sinks[ready.pop()]:
-            pending[sink] -= 1
-            if pending[sink] == 0:
-                ready.append(sink)
-    if settled == len(comb):
-        return []
-
-    stuck = [i for i in comb if pending[i] > 0]
-    path = _find_cycle_path(ir, stuck)
-    names = " -> ".join(ir.nodes[i].name for i in path)
-    first = min(stuck, key=lambda i: ir.nodes[i].line)
-    return [
-        Diagnostic(
-            "error",
-            "combinational-cycle",
-            f"combinational cycle through {len(stuck)} gate(s); cycle: {names}",
-            ir.name,
-            ir.nodes[first].line,
-        )
-    ]
-
-
-def _find_cycle_path(ir: _Ir, stuck: List[int]) -> List[int]:
-    candidates = set(stuck)
-    color = {i: 0 for i in candidates}  # 0 white, 1 on stack, 2 done
-    for start in stuck:
-        if color[start] != 0:
-            continue
-        color[start] = 1
-        path = [start]
-        stack = [(start, iter(ir.nodes[start].fanin))]
-        while stack:
-            node, fanin_iter = stack[-1]
-            advanced = False
-            for source in fanin_iter:
-                j = ir.index.get(source)
-                if j not in candidates:
-                    continue
-                if color[j] == 1:
-                    return path[path.index(j):] + [j]
-                if color[j] == 0:
-                    color[j] = 1
-                    path.append(j)
-                    stack.append((j, iter(ir.nodes[j].fanin)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    return stuck[:1] + stuck[:1]  # unreachable fallback: self-loop shape
-
-
-def _shape_diagnostics(ir: _Ir, sink_count: Dict[str, int]) -> List[Diagnostic]:
-    """Fanout and depth outliers (info tier); skipped on cyclic input."""
-    diagnostics: List[Diagnostic] = []
-    file = ir.name
-    counts = [count for count in sink_count.values()]
-    if len(counts) >= 8:
-        mean = sum(counts) / len(counts)
+    if len(gates) >= 8:
+        mean = sum(sink_count) / len(gates)
         threshold = max(_FANOUT_FLOOR, _FANOUT_RATIO * mean)
-        for node in ir.nodes:
-            fanout = sink_count[node.name]
+        for gate in gates:
+            fanout = sink_count[gate.index]
             if fanout > threshold:
                 diagnostics.append(
                     Diagnostic(
                         "info",
                         "fanout-outlier",
-                        f"signal {node.name!r} fans out to {fanout} sinks "
+                        f"signal {gate.name!r} fans out to {fanout} sinks "
                         f"(mean {mean:.1f})",
                         file,
-                        node.line,
+                        gate.line,
                     )
                 )
 
-    levels = _levels(ir)
-    if levels:
-        values = list(levels.values())
-        mean = sum(values) / len(values)
-        spread = statistics.pstdev(values) if len(values) > 1 else 0.0
+    try:
+        order, levels = level_gates(file, gates)
+    except LevelizationError as exc:
+        diagnostics.append(_error(exc, file))
+        return diagnostics
+    if order:
+        depths = [levels[index] for index in order]
+        mean = sum(depths) / len(depths)
+        spread = statistics.pstdev(depths) if len(depths) > 1 else 0.0
         threshold = max(_DEPTH_FLOOR, mean + _DEPTH_SIGMA * spread)
-        for i, level in levels.items():
-            if level > threshold:
-                node = ir.nodes[i]
+        for index in order:
+            if levels[index] > threshold:
+                gate = gates[index]
                 diagnostics.append(
                     Diagnostic(
                         "info",
                         "depth-outlier",
-                        f"gate {node.name!r} sits at logic depth {level} "
+                        f"gate {gate.name!r} sits at logic depth {levels[index]} "
                         f"(mean {mean:.1f})",
                         file,
-                        node.line,
+                        gate.line,
                     )
                 )
     return diagnostics
-
-
-def _levels(ir: _Ir) -> Dict[int, int]:
-    """Combinational depth per IR node; empty when the graph is cyclic."""
-    levels: Dict[int, int] = {}
-    remaining = [i for i, node in enumerate(ir.nodes) if _is_comb(node)]
-    for i, node in enumerate(ir.nodes):
-        if node.gtype in (GateType.INPUT, GateType.DFF):
-            levels[i] = 0
-    # Repeated relaxation in definition order; bounded by depth passes.
-    for _ in range(len(remaining) + 1):
-        progressed = False
-        still = []
-        for i in remaining:
-            deps = [ir.index.get(s) for s in ir.nodes[i].fanin]
-            if all(d is not None and d in levels for d in deps):
-                levels[i] = 1 + max((levels[d] for d in deps), default=0)
-                progressed = True
-            else:
-                still.append(i)
-        remaining = still
-        if not remaining or not progressed:
-            break
-    if remaining:
-        return {}
-    return {i: lvl for i, lvl in levels.items() if _is_comb(ir.nodes[i])}
 
 
 # ---------------------------------------------------------------------------
@@ -589,33 +319,85 @@ def _sorted(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
     )
 
 
+def lint_text(text: str, name: str = "bench") -> Tuple[List[Diagnostic], Optional[Circuit]]:
+    """Lint ``.bench`` source text, read once; never raises on malformed input.
+
+    Returns the sorted findings and the built circuit, or ``None`` when
+    an error stops it from building.
+    """
+    builder, errors = read_bench(text, name)
+    gates, outputs, problems = builder.resolve()
+    diagnostics = [_error(exc, name) for exc in errors + problems]
+    diagnostics.extend(_graph_diagnostics(name, gates, outputs))
+    circuit = None
+    if not any(d.severity == "error" for d in diagnostics):
+        circuit = builder.build()
+        diagnostics.extend(_semantic_diagnostics(circuit))
+    return _sorted(diagnostics), circuit
+
+
 def lint_bench_text(text: str, name: str = "bench") -> List[Diagnostic]:
     """Lint ``.bench`` source text; never raises on malformed input."""
-    from repro.circuit.bench import parse_bench
-
-    ir, diagnostics = _parse_lenient(text, name)
-    diagnostics.extend(_graph_diagnostics(ir))
-    if not any(d.severity == "error" for d in diagnostics):
-        try:
-            circuit = parse_bench(text, name)
-        except NetlistError as exc:
-            diagnostics.append(Diagnostic("error", "build", str(exc), name))
-        else:
-            diagnostics.extend(_semantic_diagnostics(circuit))
-    return _sorted(diagnostics)
+    return lint_text(text, name)[0]
 
 
 def lint_path(path: str) -> List[Diagnostic]:
-    """Lint a ``.bench`` file on disk."""
+    """Lint a ``.bench`` file on disk; the location is the file stem."""
     with open(path) as handle:
-        text = handle.read()
-    stem = path.rsplit("/", 1)[-1]
-    if stem.endswith(".bench"):
-        stem = stem[: -len(".bench")]
-    return lint_bench_text(text, name=stem)
+        return lint_bench_text(handle.read(), name=bench_stem(path))
 
 
 def lint_circuit(circuit: Circuit) -> List[Diagnostic]:
     """Lint an already-built circuit (library and synthetic circuits)."""
-    ir = _ir_from_circuit(circuit)
-    return _sorted(_graph_diagnostics(ir) + _semantic_diagnostics(circuit))
+    return _sorted(
+        _graph_diagnostics(circuit.name, circuit.gates, circuit.outputs)
+        + _semantic_diagnostics(circuit)
+    )
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+
+def diagnostics_summary(diagnostics: Sequence[Diagnostic]) -> Dict[str, object]:
+    """JSON-safe summary of lint diagnostics."""
+    records: List[Dict[str, object]] = []
+    by_severity: Dict[str, int] = {}
+    for diagnostic in diagnostics:
+        by_severity[diagnostic.severity] = by_severity.get(diagnostic.severity, 0) + 1
+        records.append(
+            {
+                "severity": diagnostic.severity,
+                "code": diagnostic.code,
+                "message": diagnostic.message,
+                "file": diagnostic.file,
+                "line": diagnostic.line,
+            }
+        )
+    return {"diagnostics": records, "counts": by_severity, "total": len(records)}
+
+
+def write_diagnostics_json(diagnostics: Sequence[Diagnostic], stream: TextIO) -> None:
+    """Write :func:`diagnostics_summary` to an open text *stream*."""
+    json.dump(diagnostics_summary(diagnostics), stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
+def format_diagnostics(diagnostics: Sequence[Diagnostic], name: str = "") -> str:
+    """Human-readable lint report: one ``file:line: severity:`` row per
+    finding plus a closing tally (or a clean bill of health)."""
+    rows: List[str] = []
+    by_severity: Dict[str, int] = {}
+    for diagnostic in diagnostics:
+        by_severity[diagnostic.severity] = by_severity.get(diagnostic.severity, 0) + 1
+        rows.append(diagnostic.format())
+    if not rows:
+        return f"{name}: clean" if name else "clean"
+    tally = ", ".join(
+        f"{by_severity[severity]} {severity}(s)"
+        for severity in SEVERITIES
+        if severity in by_severity
+    )
+    rows.append(tally)
+    return "\n".join(rows)

@@ -101,7 +101,6 @@ class Campaign:
     tracer: Optional["Tracer"] = None
     trace_dir: Optional[str] = None
     trace_ctx: Optional["TraceContext"] = None
-    record_events: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

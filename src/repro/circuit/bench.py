@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import TextIO, Union
+from typing import List, TextIO, Tuple, Union
 
 from repro.circuit.netlist import Circuit, CircuitBuilder, NetlistError
 from repro.logic.tables import GateType
@@ -60,68 +60,91 @@ _ASSIGN_RE = re.compile(
 _DECL_RE = re.compile(r"^(?P<kind>INPUT|OUTPUT)\s*\(\s*(?P<name>[^)\s]+)\s*\)\s*$", re.IGNORECASE)
 
 
+def read_bench(text: str, name: str = "bench") -> Tuple[CircuitBuilder, List[NetlistError]]:
+    """Feed every statement of ``.bench`` *text* to a :class:`CircuitBuilder`.
+
+    A statement that breaks a rule is recorded as its :class:`NetlistError`
+    (with ``line`` set) and reading goes on; a gate statement that fails
+    still names its signal (:meth:`CircuitBuilder.reject`), so its readers
+    are not reported too.  Returns the builder and the errors in line order.
+    """
+    builder = CircuitBuilder(name)
+    errors: List[NetlistError] = []
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            _read_statement(builder, line, raw_line, line_number)
+        except NetlistError as exc:
+            exc.line = line_number
+            errors.append(exc)
+    return builder, errors
+
+
+def _read_statement(
+    builder: CircuitBuilder, line: str, raw_line: str, line_number: int
+) -> None:
+    declaration = _DECL_RE.match(line)
+    if declaration:
+        signal = declaration.group("name")
+        if declaration.group("kind").upper() == "INPUT":
+            builder.add_input(signal, line=line_number)
+        else:
+            builder.set_output(signal, line=line_number)
+        return
+
+    assignment = _ASSIGN_RE.match(line)
+    if assignment is None:
+        raise NetlistError(f"cannot parse line: {raw_line.strip()!r}", "parse")
+    signal = assignment.group("name")
+    keyword = assignment.group("kind").upper()
+    args = [token.strip() for token in assignment.group("args").split(",") if token.strip()]
+    try:
+        gtype = _GATE_KEYWORDS.get(keyword)
+        if gtype is None:
+            raise NetlistError(f"unknown gate keyword {keyword!r}", "unknown-keyword")
+        if gtype is GateType.DFF:
+            if len(args) != 1:
+                raise NetlistError("DFF must have exactly one fanin", "bad-arity")
+            builder.add_dff(signal, args[0], line=line_number)
+        else:
+            builder.add_gate(signal, gtype, args, line=line_number)
+    except NetlistError:
+        builder.reject(signal, args, line=line_number)
+        raise
+
+
 def parse_bench(text: str, name: str = "bench") -> Circuit:
     """Parse ``.bench`` source text into a built, levelized :class:`Circuit`.
 
     Every failure — unparsable line, bad gate declaration, and the
     structural errors found at build time (undefined signal, duplicate
     definition, no outputs, combinational cycle) — surfaces as a
-    :class:`NetlistError`.  Line-attributable errors carry ``name:line:``
+    :class:`NetlistError`, the first one :func:`read_bench` records or
+    the build raises.  Line-attributable errors carry ``name:line:``
     context; whole-circuit errors carry ``name:`` context.
     """
-    builder = CircuitBuilder(name)
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-
-        try:
-            declaration = _DECL_RE.match(line)
-            if declaration:
-                kind = declaration.group("kind").upper()
-                signal = declaration.group("name")
-                if kind == "INPUT":
-                    builder.add_input(signal, line=line_number)
-                else:
-                    builder.set_output(signal, line=line_number)
-                continue
-
-            assignment = _ASSIGN_RE.match(line)
-            if assignment is None:
-                raise NetlistError(f"cannot parse line: {raw_line.strip()!r}")
-
-            signal = assignment.group("name")
-            keyword = assignment.group("kind").upper()
-            args = [
-                token.strip()
-                for token in assignment.group("args").split(",")
-                if token.strip()
-            ]
-            gtype = _GATE_KEYWORDS.get(keyword)
-            if gtype is None:
-                raise NetlistError(f"unknown gate keyword {keyword!r}")
-            if gtype is GateType.DFF:
-                if len(args) != 1:
-                    raise NetlistError("DFF must have exactly one fanin")
-                builder.add_dff(signal, args[0], line=line_number)
-            else:
-                builder.add_gate(signal, gtype, args, line=line_number)
-        except NetlistError as exc:
-            raise NetlistError(f"{name}:{line_number}: {exc}") from None
+    builder, errors = read_bench(text, name)
+    if errors:
+        first = errors[0]
+        raise NetlistError(f"{name}:{first.line}: {first}", first.code, first.line)
     try:
         return builder.build()
     except NetlistError as exc:
-        raise NetlistError(f"{name}: {exc}") from None
+        raise NetlistError(f"{name}: {exc}", exc.code, exc.line) from None
+
+
+def bench_stem(path: str) -> str:
+    """The circuit name a ``.bench`` file gets: its file name without ``.bench``."""
+    stem = path.rsplit("/", 1)[-1]
+    return stem[: -len(".bench")] if stem.endswith(".bench") else stem
 
 
 def parse_bench_file(path: str) -> Circuit:
     """Parse a ``.bench`` file; the circuit is named after the file stem."""
     with open(path) as handle:
-        text = handle.read()
-    stem = path.rsplit("/", 1)[-1]
-    if stem.endswith(".bench"):
-        stem = stem[: -len(".bench")]
-    return parse_bench(text, name=stem)
+        return parse_bench(handle.read(), name=bench_stem(path))
 
 
 def write_bench(circuit: Circuit, stream: Union[TextIO, None] = None) -> str:

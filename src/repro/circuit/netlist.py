@@ -27,7 +27,16 @@ from repro.logic.tables import (
 
 
 class NetlistError(ValueError):
-    """Raised for structurally invalid circuits (bad fanin, cycles, ...)."""
+    """Raised for structurally invalid circuits (bad fanin, cycles, ...).
+
+    ``code`` names the rule the netlist broke, as ``repro lint`` reports
+    it; ``line`` is the 1-based source line it concerns (0 for none).
+    """
+
+    def __init__(self, message: str, code: str = "netlist", line: int = 0) -> None:
+        super().__init__(message)
+        self.code = code
+        self.line = line
 
 
 @dataclass
@@ -140,24 +149,30 @@ class CircuitBuilder:
 
     Signals may be referenced before they are defined (netlist formats list
     gates in arbitrary order); fanin resolution happens in :meth:`build`.
+    A statement that breaks a rule raises at the call; the error's ``code``
+    and ``line`` say which rule and where.
     """
 
     def __init__(self, name: str = "circuit") -> None:
         self.name = name
-        self._gates: List[Tuple[str, GateType, Tuple[str, ...]]] = []
+        # A ``None`` type marks a rejected statement (see reject()).
+        self._gates: List[Tuple[str, Optional[GateType], Tuple[str, ...]]] = []
         self._by_name: Dict[str, int] = {}
         self._lines: List[int] = []
         self._outputs: List[str] = []
         self._output_lines: Dict[str, int] = {}
         self._macro_tables: Dict[str, Tuple[Tuple[int, ...], Tuple[str, ...]]] = {}
+        self._rejected = False
 
     def _define(
-        self, name: str, gtype: GateType, fanin: Sequence[str], line: int = 0
+        self, name: str, gtype: Optional[GateType], fanin: Sequence[str], line: int = 0
     ) -> None:
         if name in self._by_name:
             first = self._lines[self._by_name[name]]
             where = f" (first defined at line {first})" if first else ""
-            raise NetlistError(f"signal {name!r} defined twice{where}")
+            raise NetlistError(
+                f"signal {name!r} defined twice{where}", "duplicate-definition", line
+            )
         self._by_name[name] = len(self._gates)
         self._gates.append((name, gtype, tuple(fanin)))
         self._lines.append(line)
@@ -179,13 +194,15 @@ class CircuitBuilder:
         if gtype not in COMBINATIONAL_TYPES:
             raise NetlistError(f"{gtype} is not a combinational gate type")
         if gtype in (GateType.BUF, GateType.NOT) and len(fanin) != 1:
-            raise NetlistError(f"{gtype.name} gate {name!r} must have exactly one fanin")
+            raise NetlistError(
+                f"{gtype.name} gate {name!r} must have exactly one fanin", "bad-arity", line
+            )
         if gtype in (GateType.CONST0, GateType.CONST1) and fanin:
-            raise NetlistError(f"constant gate {name!r} must have no fanin")
+            raise NetlistError(f"constant gate {name!r} must have no fanin", "bad-arity", line)
         if gtype is GateType.MACRO:
             raise NetlistError("use add_macro() for MACRO gates")
         if len(fanin) == 0 and gtype not in (GateType.CONST0, GateType.CONST1):
-            raise NetlistError(f"gate {name!r} has no fanin")
+            raise NetlistError(f"gate {name!r} has no fanin", "bad-arity", line)
         self._define(name, gtype, fanin, line)
 
     def add_macro(
@@ -213,69 +230,109 @@ class CircuitBuilder:
         if name in self._output_lines:
             first = self._output_lines[name]
             where = f" (first declared at line {first})" if first else ""
-            raise NetlistError(f"output {name!r} declared twice{where}")
+            raise NetlistError(
+                f"output {name!r} declared twice{where}", "duplicate-output", line
+            )
         self._output_lines[name] = line
         self._outputs.append(name)
 
+    def reject(self, name: str, fanin: Sequence[str], line: int = 0) -> None:
+        """Name the signal of a statement that broke a rule, without a gate.
+
+        Its readers then resolve and its sources count as read, so a
+        netlist reader reports the broken statement once, not a cascade
+        of undefined signals.  A builder that rejected a statement does
+        not build.
+        """
+        if name not in self._by_name:
+            self._define(name, None, fanin, line)
+        self._rejected = True
+
     # -- finalization ----------------------------------------------------
 
-    def build(self) -> Circuit:
-        """Resolve names, compute fanout, validate, levelize and freeze."""
-        from repro.circuit.levelize import levelize  # local import: avoid cycle
+    def resolve(self) -> Tuple[List[Gate], List[int], List[NetlistError]]:
+        """Resolve names without raising.
 
-        index_of = {name: index for index, (name, _, _) in enumerate(self._gates)}
+        Returns the gates, each with the fanin that resolves (a rejected
+        statement's gate has no type), the indices of the defined outputs,
+        and every problem :meth:`build` raises the first of: each reference
+        to an undefined signal, each undefined output, then a missing
+        output declaration.
+        """
+        index_of = self._by_name
         gates: List[Gate] = []
-        inputs: List[int] = []
-        dffs: List[int] = []
-
+        problems: List[NetlistError] = []
         for index, (name, gtype, fanin_names) in enumerate(self._gates):
             line = self._lines[index]
             fanin: List[int] = []
             for source in fanin_names:
-                if source not in index_of:
-                    where = f" (line {line})" if line else ""
-                    raise NetlistError(
-                        f"gate {name!r} references undefined signal {source!r}{where}"
+                if source in index_of:
+                    fanin.append(index_of[source])
+                    continue
+                where = f" (line {line})" if line else ""
+                problems.append(
+                    NetlistError(
+                        f"gate {name!r} references undefined signal {source!r}{where}",
+                        "undriven-net",
+                        line,
                     )
-                fanin.append(index_of[source])
+                )
             table, absorbed = self._macro_tables.get(name, (None, ()))
             gates.append(
                 Gate(
                     index=index,
                     name=name,
-                    gtype=gtype,
+                    gtype=gtype,  # type: ignore[arg-type]  # None: rejected
                     fanin=tuple(fanin),
                     table=table,
                     macro_gates=absorbed,
                     line=line,
                 )
             )
-            if gtype is GateType.INPUT:
-                inputs.append(index)
-            elif gtype is GateType.DFF:
-                dffs.append(index)
 
         outputs: List[int] = []
         for name in self._outputs:
-            if name not in index_of:
-                decl = self._output_lines.get(name, 0)
-                where = f" (declared at line {decl})" if decl else ""
-                raise NetlistError(f"output {name!r} is not a defined signal{where}")
-            outputs.append(index_of[name])
-        if not outputs:
-            raise NetlistError(f"circuit {self.name!r} declares no primary outputs")
+            if name in index_of:
+                outputs.append(index_of[name])
+                continue
+            decl = self._output_lines[name]
+            where = f" (declared at line {decl})" if decl else ""
+            problems.append(
+                NetlistError(
+                    f"output {name!r} is not a defined signal{where}",
+                    "undefined-output",
+                    decl,
+                )
+            )
+        if not self._outputs:
+            problems.append(
+                NetlistError(
+                    f"circuit {self.name!r} declares no primary outputs", "no-outputs"
+                )
+            )
+        return gates, outputs, problems
 
-        fanout: Dict[int, List[int]] = {gate.index: [] for gate in gates}
+    def build(self) -> Circuit:
+        """Resolve names, compute fanout, validate, levelize and freeze."""
+        from repro.circuit.levelize import levelize  # local import: avoid cycle
+
+        if self._rejected:
+            raise NetlistError(f"circuit {self.name!r} has a rejected statement")
+        gates, outputs, problems = self.resolve()
+        if problems:
+            raise problems[0]
+
+        fanout: List[List[int]] = [[] for _ in gates]
         for gate in gates:
             for source in gate.fanin:
                 fanout[source].append(gate.index)
         for gate in gates:
             gate.fanout = tuple(fanout[gate.index])
-            if gate.is_output:
-                raise NetlistError("is_output must not be preset")
         for index in outputs:
             gates[index].is_output = True
 
+        inputs = [gate.index for gate in gates if gate.gtype is GateType.INPUT]
+        dffs = [gate.index for gate in gates if gate.gtype is GateType.DFF]
         circuit = Circuit(self.name, gates, inputs, outputs, dffs)
         levelize(circuit)
         return circuit

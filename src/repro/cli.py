@@ -39,7 +39,8 @@ from typing import List, Optional
 from repro import package_version
 from repro.campaign import Campaign, execute, select_universe
 from repro.circuit.library import load
-from repro.circuit.netlist import NetlistError
+from repro.circuit.bench import bench_stem
+from repro.circuit.netlist import Circuit, NetlistError
 from repro.circuit.stats import circuit_stats
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults
@@ -279,7 +280,6 @@ def _run_campaign(args, circuit, tests, tracer, cli_trace, **fields):
         tracer=tracer,
         trace_dir=cli_trace.trace_dir,
         trace_ctx=cli_trace.ctx,
-        record_events=cli_trace.trace_dir is not None,
         **fields,
     )
     universe = select_universe(campaign)
@@ -333,33 +333,33 @@ def cmd_stats(args) -> int:
 
 def cmd_lint(args) -> int:
     """Static netlist diagnostics; exit 0 clean / 1 findings / 2 errors."""
-    from repro.analyze import has_findings, lint_bench_text, lint_circuit, lint_path
+    from repro.analyze.lint import (
+        format_diagnostics,
+        has_findings,
+        lint_circuit,
+        lint_text,
+        write_diagnostics_json,
+    )
 
+    circuit: Optional[Circuit]
     if os.path.isfile(args.circuit):
         name = args.circuit
-        diagnostics = lint_path(args.circuit)
+        with open(args.circuit) as handle:
+            diagnostics, circuit = lint_text(handle.read(), bench_stem(args.circuit))
     elif args.circuit == "s27":
         from repro.circuit.library import S27_BENCH
 
         name = "s27"
-        diagnostics = lint_bench_text(S27_BENCH, name)
+        diagnostics, circuit = lint_text(S27_BENCH, name)
     else:
         circuit = load(args.circuit, scale=args.scale)
         name = circuit.name
         diagnostics = lint_circuit(circuit)
     if args.format == "json":
-        from repro.obs import write_diagnostics_json
-
         write_diagnostics_json(diagnostics, sys.stdout)
     else:
-        from repro.obs import format_diagnostics
-
         print(format_diagnostics(diagnostics, name))
-        try:
-            circuit = load(args.circuit, scale=args.scale)
-        except (NetlistError, FileNotFoundError, ValueError):
-            circuit = None  # the diagnostics above already tell the story
-        if circuit is not None:
+        if circuit is not None:  # None: the diagnostics above tell the story
             from repro.analyze import collapse_universe
 
             print(f"# {collapse_universe(circuit).summary()}", file=sys.stderr)

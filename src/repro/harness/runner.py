@@ -149,7 +149,6 @@ def run_stuck_at(
     jobs: int = 1,
     trace_dir: Optional[str] = None,
     trace_ctx=None,
-    record_events: bool = False,
     word_width: Optional[int] = None,
     axis_mode: str = "auto",
     record_responses: bool = False,
@@ -182,7 +181,6 @@ def run_stuck_at(
             tracer=tracer,
             trace_dir=trace_dir,
             trace_ctx=trace_ctx,
-            record_events=record_events,
         )
     )
 
@@ -199,7 +197,6 @@ def run_transition(
     sanitize: bool = False,
     trace_dir: Optional[str] = None,
     trace_ctx=None,
-    record_events: bool = False,
 ) -> FaultSimResult:
     """Run transition-fault simulation (concurrent by default).
 
@@ -219,7 +216,6 @@ def run_transition(
             tracer=tracer,
             trace_dir=trace_dir,
             trace_ctx=trace_ctx,
-            record_events=record_events,
         )
     )
 

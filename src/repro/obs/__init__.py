@@ -32,12 +32,9 @@ Example::
 from repro.obs.metrics import Telemetry
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.obs.export import (
-    diagnostics_summary,
-    format_diagnostics,
     metrics_summary,
     profile_report,
     read_jsonl_trace,
-    write_diagnostics_json,
     write_jsonl_trace,
     write_metrics_json,
 )
@@ -63,8 +60,6 @@ __all__ = [
     "SpanNode",
     "SpanWriter",
     "collapsed_stacks",
-    "diagnostics_summary",
-    "format_diagnostics",
     "inspect_trace",
     "metrics_summary",
     "parse_prometheus_text",
@@ -75,7 +70,6 @@ __all__ = [
     "stitch_trace",
     "trace_ids",
     "write_collapsed",
-    "write_diagnostics_json",
     "write_jsonl_trace",
     "write_metrics_json",
 ]

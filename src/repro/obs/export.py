@@ -16,7 +16,7 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, TextIO
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import Telemetry
 
@@ -56,51 +56,6 @@ def write_metrics_json(telemetry: Telemetry, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(metrics_summary(telemetry), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def diagnostics_summary(diagnostics: Iterable) -> Dict[str, object]:
-    """JSON-safe summary of lint diagnostics (duck-typed against
-    :class:`repro.analyze.lint.Diagnostic` to keep obs free of an analyze
-    dependency)."""
-    records: List[Dict[str, object]] = []
-    by_severity: Dict[str, int] = {}
-    for diagnostic in diagnostics:
-        by_severity[diagnostic.severity] = by_severity.get(diagnostic.severity, 0) + 1
-        records.append(
-            {
-                "severity": diagnostic.severity,
-                "code": diagnostic.code,
-                "message": diagnostic.message,
-                "file": diagnostic.file,
-                "line": diagnostic.line,
-            }
-        )
-    return {"diagnostics": records, "counts": by_severity, "total": len(records)}
-
-
-def write_diagnostics_json(diagnostics: Iterable, stream: TextIO) -> None:
-    """Write :func:`diagnostics_summary` to an open text *stream*."""
-    json.dump(diagnostics_summary(diagnostics), stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
-def format_diagnostics(diagnostics: Iterable, name: str = "") -> str:
-    """Human-readable lint report: one ``file:line: severity:`` row per
-    finding plus a closing tally (or a clean bill of health)."""
-    rows: List[str] = []
-    by_severity: Dict[str, int] = {}
-    for diagnostic in diagnostics:
-        by_severity[diagnostic.severity] = by_severity.get(diagnostic.severity, 0) + 1
-        rows.append(diagnostic.format())
-    if not rows:
-        return f"{name}: clean" if name else "clean"
-    tally = ", ".join(
-        f"{by_severity[severity]} {severity}(s)"
-        for severity in ("error", "warning", "info")
-        if severity in by_severity
-    )
-    rows.append(tally)
-    return "\n".join(rows)
 
 
 def _histogram_buckets(histogram: Dict[int, int]) -> List[tuple]:

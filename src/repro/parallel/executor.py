@@ -52,7 +52,7 @@ class ShardTask:
     telemetry: bool = False
 
 
-def _make_cycle_clock_tracer(record_events: bool) -> "RecordingTracer":
+def _make_cycle_clock_tracer() -> "RecordingTracer":
     """A RecordingTracer that also wall-clocks every cycle boundary."""
     import time
 
@@ -60,7 +60,7 @@ def _make_cycle_clock_tracer(record_events: bool) -> "RecordingTracer":
 
     class CycleClockTracer(RecordingTracer):
         def __init__(self) -> None:
-            super().__init__(record_events=record_events)
+            super().__init__()
             self.cycle_clock: List[Tuple[int, float]] = []
 
         def cycle_start(self, cycle: int) -> None:
@@ -102,8 +102,7 @@ def simulate_shard(task: ShardTask) -> Tuple[int, FaultSimResult]:
 
     With tracing armed (the campaign's ``trace_dir`` + ``trace_ctx``) the
     worker process writes a ``shard i/N`` span carrying the shard's work
-    counters, cycle-range child spans, and — when ``record_events`` — the
-    engine's per-gate event stream, all into the shared trace directory.
+    counters and cycle-range child spans into the shared trace directory.
     """
     import time
 
@@ -114,7 +113,7 @@ def simulate_shard(task: ShardTask) -> Tuple[int, FaultSimResult]:
     tracing = campaign.trace_dir is not None and campaign.trace_ctx is not None
     tracer: Optional[RecordingTracer]
     if tracing:
-        tracer = _make_cycle_clock_tracer(campaign.record_events)
+        tracer = _make_cycle_clock_tracer()
     elif task.telemetry:
         tracer = RecordingTracer()
     else:
@@ -132,9 +131,9 @@ def _write_shard_trace(
     result: FaultSimResult,
     shard_started: float,
 ) -> None:
-    """Append this shard's span tree (and optional event stream) to the
-    trace directory.  The shard span carries the work counters so the
-    inspection CLI can build the balance table from spans alone."""
+    """Append this shard's span tree to the trace directory.  The shard
+    span carries the work counters so the inspection CLI can build the
+    balance table from spans alone."""
     import time
 
     campaign = task.campaign
@@ -166,21 +165,6 @@ def _write_shard_trace(
         _emit_cycle_range_spans(
             writer, shard_ctx, getattr(tracer, "cycle_clock", []), time.time()
         )
-        if campaign.record_events and tracer is not None and tracer.records:
-            from repro.obs.export import write_jsonl_trace
-
-            events_path = os.path.join(
-                trace_dir,
-                f"events-shard{task.index:02d}-of-{task.total:02d}.jsonl",
-            )
-            header = {
-                "t": "shard_header",
-                "trace_id": trace_ctx.trace_id,
-                "span_id": shard_ctx.span_id,
-                "shard": task.index,
-                "total": task.total,
-            }
-            write_jsonl_trace([header] + list(tracer.records), events_path)
     finally:
         writer.close()
 

@@ -108,8 +108,6 @@ def run_parallel(
     parented under ``trace_ctx`` (a fresh root trace when None), and the
     campaign writes ``plan``/``merge`` spans plus ``telemetry.json`` and
     ``manifest.json`` sidecars.  Tracing implies telemetry.
-    ``record_events`` additionally streams each shard's per-gate engine
-    events to ``events-shard*.jsonl`` files (the ``--trace`` payload).
     """
     from repro.campaign import shard_campaign
 

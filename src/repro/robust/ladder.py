@@ -135,7 +135,9 @@ def run_with_ladder(
         last_rung = rung_index == len(ladder) - 1
 
         if engine == "serial":
-            result = simulate_serial(circuit, tests.vectors, faults, budget=budget)
+            result = simulate_serial(
+                circuit, tests.vectors, faults, budget=budget, tracer=tracer
+            )
             result.fallbacks = fallbacks
             return result
 

@@ -87,9 +87,9 @@ class TestSeededDefects:
         assert finding.line == 10
         assert "line 9" in finding.message
 
-    def test_duplicate_output_warning(self, diagnostics):
+    def test_duplicate_output_error(self, diagnostics):
         (finding,) = _by_code(diagnostics, "duplicate-output")
-        assert finding.severity == "warning"
+        assert finding.severity == "error"
         assert finding.line == 4
 
     def test_undefined_output_error(self, diagnostics):
@@ -139,6 +139,28 @@ class TestLenientParse:
             "INPUT(a)\nINPUT(b)\nOUTPUT(q)\nq = DFF(a, b)\n", "arity"
         )
         assert "bad-arity" in _codes(diagnostics)
+
+
+class TestNoCascade:
+    """A broken statement is reported once: it still names its signal."""
+
+    def test_unknown_keyword_read_as_output(self):
+        diagnostics = lint_bench_text("INPUT(a)\nOUTPUT(g)\ng = FROB(a)\n", "bad")
+        assert [(d.code, d.line) for d in diagnostics] == [("unknown-keyword", 3)]
+
+    def test_bad_arity_gate_read_by_another(self):
+        text = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\ng = NOT(a, b)\nz = AND(g, a)\n"
+        diagnostics = lint_bench_text(text, "bad")
+        assert [(d.code, d.line) for d in diagnostics] == [("bad-arity", 4)]
+
+    def test_duplicate_output_is_one_finding(self):
+        text = "INPUT(a)\nOUTPUT(z)\nOUTPUT(z)\nz = NOT(a)\n"
+        (finding,) = lint_bench_text(text, "bad")
+        assert (finding.severity, finding.code, finding.line) == (
+            "error",
+            "duplicate-output",
+            3,
+        )
 
 
 class TestCleanBenchmarks:

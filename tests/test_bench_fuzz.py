@@ -10,9 +10,11 @@ suite is deterministic while covering a broad input space.
 """
 
 import random
+import re
 
 import pytest
 
+from repro.analyze import lint_bench_text
 from repro.circuit.bench import parse_bench
 from repro.circuit.library import S27_BENCH
 from repro.circuit.netlist import NetlistError
@@ -101,6 +103,23 @@ class TestBenchFuzz:
             # renames); the result must at least be a sane circuit.
             assert len(circuit.gates) > 0
             assert circuit.outputs
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_lint_reports_the_error_the_parser_raises(self, seed):
+        # One front end: the parser raises exactly when lint finds an
+        # error, and its message is one of lint's, at the same line.
+        text = _corrupted_text(seed)
+        errors = [d for d in lint_bench_text(text, "fuzzed") if d.severity == "error"]
+        try:
+            parse_bench(text, name="fuzzed")
+        except NetlistError as exc:
+            line, message = re.match(r"fuzzed:(?:(\d+):)? (.*)", str(exc), re.S).groups()
+            assert any(
+                d.message == message and (line is None or d.line == int(line))
+                for d in errors
+            ), (str(exc), [d.format() for d in errors])
+        else:
+            assert not errors, [d.format() for d in errors]
 
     def test_unknown_keyword_has_line_context(self):
         with pytest.raises(NetlistError, match=r"bad:3: unknown gate keyword"):

@@ -105,7 +105,7 @@ class TestCyclePaths:
 
     def test_find_cycle_returns_closed_real_path(self):
         circuit = _two_gate_cycle()
-        path = find_cycle(circuit, [1, 2])
+        path = find_cycle([gate.fanin for gate in circuit.gates], [1, 2])
         assert len(path) >= 2
         assert path[0] == path[-1]
         for src, dst in zip(path, path[1:]):
@@ -119,7 +119,7 @@ class TestCyclePaths:
         builder.set_output("z")
         circuit = builder.build()
         combinational = [g.index for g in circuit.gates if g.gtype is GateType.NOT]
-        assert find_cycle(circuit, combinational) == []
+        assert find_cycle([gate.fanin for gate in circuit.gates], combinational) == []
 
     def test_dff_broken_long_loop_levelizes(self):
         # a three-gate feedback path broken by a flip-flop is legal.

@@ -512,6 +512,27 @@ class TestLadder:
         assert tracer.fallbacks == result.fallbacks
         assert "[degraded: csim-MV -> csim]" in result.summary()
 
+    def test_serial_rung_keeps_the_tracer(self, s27):
+        class Exploding:
+            faults = []
+
+            def run(self, tests, budget=None):
+                raise RuntimeError("engine exploded")
+
+        tests = random_sequence(s27, 16, seed=3)
+        tracer = RecordingTracer()
+        result = run_with_ladder(
+            s27,
+            tests,
+            ladder=("csim-MV", "serial"),
+            tracer=tracer,
+            simulator_factory=lambda *args: Exploding(),
+        )
+        assert result.engine == "serial"
+        assert result.counters.fault_evaluations > 0
+        assert result.telemetry is not None
+        assert result.telemetry.totals == result.counters
+
     def test_every_rung_crashing_reaches_serial(self, s27, s27_tests):
         class Exploding:
             faults = []
