@@ -3,8 +3,9 @@
 Three configurations of the same workload:
 
 * ``off``       — no tracer at all (the seed behaviour);
-* ``noop``      — the :class:`Tracer` base class attached (hooks fire,
-                  bodies are empty) — the cost of the guard + dispatch;
+* ``noop``      — the :class:`Tracer` base class attached: it records
+                  nothing, so the engine sends it only run, cycle, phase
+                  and detection hooks, no per-gate ones;
 * ``recording`` — a full :class:`RecordingTracer` (aggregates, per-cycle
                   rows; no per-event record stream).
 
@@ -80,11 +81,13 @@ def test_tracing_never_changes_the_simulation(name):
 
 @pytest.mark.parametrize("name", CIRCUITS)
 def test_disabled_tracing_is_free(name):
-    """Median-of-5 untraced wall time stays within noise of the seed path.
+    """Median-of-5 untraced wall time stays within noise of the no-op path.
 
-    The untraced step() is a separate code path containing no tracer
-    logic, so 'free' here means: no systematic slowdown beyond timer
-    noise.  The bound is deliberately loose for shared CI machines.
+    Traced or not, step() and the settle kernel run one body; without a
+    tracer every hook site is a local ``None`` check that fails, and the
+    no-op tracer adds the per-cycle hooks on top.  'Free' here means: no
+    systematic slowdown beyond timer noise.  The bound is deliberately
+    loose for shared CI machines.
     """
     import statistics
 

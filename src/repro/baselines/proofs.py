@@ -38,7 +38,7 @@ from repro.drive import drive
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.values import ONE, X, ZERO
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, gate_tracer
 from repro.result import Failure, FaultSimResult, MemoryStats, WorkCounters
 from repro.sim.logicsim import LogicSimulator
 from repro.vector.core import WordMachine, WordPlan, broadcast, each_slot
@@ -266,7 +266,9 @@ class ProofsSimulator:
     ) -> List[Fault]:
         """Simulate the fids of *group*, one slot each, on the word core,
         from the good words *ones* / *xs*."""
-        machine = WordMachine(self.plan, list(ones), list(xs), mask, self.counters, self.tracer)
+        machine = WordMachine(
+            self.plan, list(ones), list(xs), mask, self.counters, gate_tracer(self.tracer)
+        )
         for slot, fid in enumerate(group):
             bit = 1 << slot
             # Apply this machine's faulty flip-flop state, then inject.

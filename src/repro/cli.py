@@ -34,7 +34,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import package_version
 from repro.campaign import Campaign, execute, select_universe
@@ -438,10 +438,11 @@ def _parse_failures(kind: str, text: str):
     return parse_observed(kind, items)
 
 
-def _build_dictionary_blob(args, circuit, tests) -> bytes:
-    """Build the ``repro-dict/1`` artifact a build or diagnose run asks for."""
+def _build_dictionary_blob(args, circuit, tests) -> Tuple[bytes, dict]:
+    """Build the ``repro-dict/1`` artifact a build or diagnose run asks
+    for; returns it with its manifest."""
     from repro.diagnosis import build_responses
-    from repro.diagnosis.store import encode_dictionary
+    from repro.diagnosis.store import dictionary_manifest, encode_dictionary
 
     responses = build_responses(
         circuit,
@@ -455,9 +456,8 @@ def _build_dictionary_blob(args, circuit, tests) -> bytes:
         budget=_make_budget(args),
         word_width=_checked_word_width(args),
     )
-    return encode_dictionary(
-        circuit.name, len(tests), responses, args.kind, collapse="equivalence"
-    )
+    material = (circuit.name, len(tests), responses, args.kind, "equivalence")
+    return encode_dictionary(*material), dictionary_manifest(*material)
 
 
 def _dictionary_for(args, circuit, tests):
@@ -471,7 +471,7 @@ def _dictionary_for(args, circuit, tests):
         dictionary = decode_dictionary(read_dictionary(path), kind=args.kind)
         _check_artifact_fits(path, dictionary, circuit, len(tests))
         return dictionary
-    blob = _build_dictionary_blob(args, circuit, tests)
+    blob, _ = _build_dictionary_blob(args, circuit, tests)
     if path:
         write_dictionary(path, blob)
         print(f"# dictionary: built and written to {path}", file=sys.stderr)
@@ -508,11 +508,10 @@ def cmd_build_dictionary(args) -> int:
     _check_robust_args(args)
     circuit = load(args.circuit, scale=args.scale)
     tests = _load_tests(args, circuit)
-    from repro.diagnosis.store import read_manifest, write_dictionary
+    from repro.diagnosis.store import write_dictionary
 
-    blob = _build_dictionary_blob(args, circuit, tests)
+    blob, manifest = _build_dictionary_blob(args, circuit, tests)
     write_dictionary(args.output, blob)
-    manifest = read_manifest(blob)
     print(
         f"{args.output}: dictionary[{manifest['kind']}] for "
         f"{manifest['circuit']}: {manifest['num_detected']}/"

@@ -40,7 +40,9 @@ values, and their events seed the next cycle's queue.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 from weakref import WeakKeyDictionary
 
 from repro.circuit.macro import RegionTables, extract_macros
@@ -52,7 +54,7 @@ from repro.faults.model import OUTPUT_PIN, Fault, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType, shared_eval_tables
 from repro.logic.values import X
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, gate_tracer
 from repro.result import Failure, FaultSimResult, MemoryStats, WorkCounters
 
 #: Shared macro transforms, keyed weakly by flat circuit then by the macro
@@ -76,6 +78,42 @@ def shared_macro_transform(circuit: Circuit, macro_max_inputs: int):
     return transform
 
 
+class SettlePlan(NamedTuple):
+    """A working circuit as the settle kernel reads it, one entry per gate;
+    ``fanouts[g]`` is ``(combinational sinks, flip-flop sinks)``.  The
+    faults sited at each gate (``local_faults``) are per simulator."""
+
+    fanins: Tuple[Tuple[int, ...], ...]
+    tables: Tuple[Any, ...]
+    levels: Tuple[int, ...]
+    fanouts: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+#: Shared settle plans, keyed weakly by working circuit.
+_PLAN_CACHE: "WeakKeyDictionary[Circuit, SettlePlan]" = WeakKeyDictionary()
+
+
+def shared_settle_plan(circuit: Circuit) -> SettlePlan:
+    """The settle plan of *circuit*, memoized."""
+    plan = _PLAN_CACHE.get(circuit)
+    if plan is None:
+        gates = circuit.gates
+        flip_flop = [gate.gtype is GateType.DFF for gate in gates]
+        plan = _PLAN_CACHE[circuit] = SettlePlan(
+            fanins=tuple(gate.fanin for gate in gates),
+            tables=shared_eval_tables(circuit),
+            levels=tuple(gate.level for gate in gates),
+            fanouts=tuple(
+                (
+                    tuple(sink for sink in gate.fanout if not flip_flop[sink]),
+                    tuple(sink for sink in gate.fanout if flip_flop[sink]),
+                )
+                for gate in gates
+            ),
+        )
+    return plan
+
+
 class ConcurrentFaultSimulator:
     """Concurrent stuck-at fault simulator (csim / -V / -M / -MV).
 
@@ -92,7 +130,10 @@ class ConcurrentFaultSimulator:
     tracer:
         Optional :class:`repro.obs.Tracer`.  ``None`` (the default) means
         no tracing: every hook site is a single local None-check, so an
-        untraced run does no instrumentation work at all.
+        untraced run does no instrumentation work at all.  The per-gate
+        hooks (the ``WorkCounters`` mirror, divergence and convergence)
+        go only to a tracer that records (``enabled``); run, cycle, phase
+        and detection hooks go to any tracer.
     record_responses:
         Dictionary-building mode: fault dropping is disabled (the
         requested options are kept otherwise) and every binary output
@@ -117,6 +158,7 @@ class ConcurrentFaultSimulator:
             options = options.with_(drop_detected=False)
         self.options = options
         self.tracer = tracer
+        self._gate_tracer = gate_tracer(tracer)
         universe = self._default_universe(circuit) if faults is None else faults
         #: Sorted for deterministic fault ids (and so detection order never
         #: depends on how the caller built the list).
@@ -134,7 +176,7 @@ class ConcurrentFaultSimulator:
         else:
             self.macro = None
             self.circuit = circuit
-        self._build_eval_tables()
+        self._plan = shared_settle_plan(self.circuit)
         self._build_descriptors()
         self.reset()
         if options.sanitize:
@@ -143,10 +185,6 @@ class ConcurrentFaultSimulator:
             self._sanitizer: Optional[FaultListSanitizer] = FaultListSanitizer(self)
         else:
             self._sanitizer = None
-
-    def _build_eval_tables(self) -> None:
-        """Attach the (shared, memoized) per-gate lookup tables."""
-        self._eval_tables = shared_eval_tables(self.circuit)
 
     # ------------------------------------------------------------------
     # construction
@@ -227,12 +265,12 @@ class ConcurrentFaultSimulator:
         self._dirty_ffs: Set[int] = set(circuit.dffs)
         self._queue: List[List[int]] = [[] for _ in range(circuit.num_levels + 1)]
         self._in_queue: List[bool] = [False] * count
-        # When not None, _evaluate records every gate it touches here (the
+        # When not None, _settle records every gate it evaluates here (the
         # transition engine uses this to seed its second pass).
         self._record_evaluated: Optional[Set[int]] = None
-        # Reusable scratch for _gather: one dict and one purge list serve
-        # every gate evaluation instead of fresh allocations per call.
-        # Transient — never snapshotted.
+        # Reusable scratch for _settle's fanin merge: one dict and one
+        # purge list serve every gate evaluation instead of fresh
+        # allocations per gate.  Transient — never snapshotted.
         self._scratch_candidates: Dict[int, int] = {}
         self._scratch_purge: List[Tuple[int, int]] = []
         for descriptor in self.descriptors:
@@ -302,7 +340,7 @@ class ConcurrentFaultSimulator:
         bucket = lists[gate]
         if fid not in bucket:
             self._live_elements += 1
-            trace = self.tracer
+            trace = self._gate_tracer
             if trace is not None:
                 trace.diverge(gate, fid, lists is self.vis)
         bucket[fid] = value
@@ -316,17 +354,19 @@ class ConcurrentFaultSimulator:
             self._live_elements -= 1
             removed = True
         if removed:
-            trace = self.tracer
+            trace = self._gate_tracer
             if trace is not None:
                 trace.converge(gate, fid)
+
+    # Scheduling at the phase boundaries; _settle inlines both.
 
     def _schedule(self, gate_index: int) -> None:
         if not self._in_queue[gate_index]:
             self._in_queue[gate_index] = True
-            level = self.circuit.gates[gate_index].level
+            level = self._plan.levels[gate_index]
             self._queue[level].append(gate_index)
             self.counters.gates_scheduled += 1
-            trace = self.tracer
+            trace = self._gate_tracer
             if trace is not None:
                 trace.scheduled(gate_index, level)
 
@@ -334,15 +374,13 @@ class ConcurrentFaultSimulator:
         """An event on *gate_index*: schedule combinational fanouts now,
         mark flip-flop fanouts for the boundary update."""
         self.counters.events += 1
-        trace = self.tracer
+        trace = self._gate_tracer
         if trace is not None:
             trace.event(gate_index)
-        gates = self.circuit.gates
-        for sink in gates[gate_index].fanout:
-            if gates[sink].gtype is GateType.DFF:
-                self._dirty_ffs.add(sink)
-            else:
-                self._schedule(sink)
+        sinks, flip_flops = self._plan.fanouts[gate_index]
+        for sink in sinks:
+            self._schedule(sink)
+        self._dirty_ffs.update(flip_flops)
 
     # ------------------------------------------------------------------
     # per-cycle simulation
@@ -455,7 +493,7 @@ class ConcurrentFaultSimulator:
     # ------------------------------------------------------------------
 
     def _apply_source(self, pi_index: int, value: int) -> None:
-        """Drive one primary input and its local (output-stuck) faults."""
+        """Drive one primary input and its local (output) faults."""
         old_good = self.good[pi_index]
         self.good[pi_index] = value
         vis = self.vis[pi_index]
@@ -467,7 +505,10 @@ class ConcurrentFaultSimulator:
             if descriptor.detected and drop:
                 self._remove(pi_index, fid)
                 continue
-            forced = descriptor.value
+            if descriptor.behavior is Behavior.TRANSITION:
+                forced = self._transition_delay(descriptor, value)
+            else:
+                forced = descriptor.value
             self.counters.fault_evaluations += 1
             evals += 1
             before = vis.get(fid, old_good)
@@ -478,206 +519,207 @@ class ConcurrentFaultSimulator:
             if before != forced:
                 event = True
         if evals:
-            trace = self.tracer
+            trace = self._gate_tracer
             if trace is not None:
                 trace.fault_evals(pi_index, evals)
         if event:
             self._emit_event(pi_index)
 
     def _settle(self) -> None:
-        """Evaluate scheduled gates level by level (the zero-delay 'second
-        phase' of Section 2.1)."""
-        queue = self._queue
-        in_queue = self._in_queue
+        """The settle kernel: evaluate the scheduled gates level by level
+        (the zero-delay "second phase" of Section 2.1), one loop body per
+        gate on packed state words (DESIGN.md section 5).
+
+        One pass over the fanins packs the good machine's word and walks
+        the multi-list traversal: each faulty machine to evaluate maps to
+        the XOR of its word against the good one (``good_packed ^
+        delta``); only visible fanin elements carry bits, and detected
+        faults met on the way are dropped (event-driven dropping).  Each
+        candidate is then one table index and one word comparison
+        (divergence/convergence); an event schedules the combinational
+        fanouts and marks the flip-flop fanouts.  Work counters stay in
+        locals and reach ``self.counters`` once per settle.
+        """
+        fanins, tables, levels, fanouts = self._plan
+        local_faults = self.local_faults
+        descriptors = self.descriptors
+        good, vis, invis = self.good, self.vis, self.invis
+        drop = self.options.drop_detected
+        split = self.options.split_lists
+        queue, in_queue, dirty_ffs = self._queue, self._in_queue, self._dirty_ffs
+        evaluated = self._record_evaluated
+        trace = self._gate_tracer
+        deltas = self._scratch_candidates
+        purge = self._scratch_purge
+        force_output, force_input = Behavior.FORCE_OUTPUT, Behavior.FORCE_INPUT
+        table_behavior = Behavior.TABLE
+        live = self._live_elements
+        good_evals = fault_evals = visits = events = scheduled = 0
         for level in range(1, len(queue)):
             bucket = queue[level]
             if not bucket:
                 continue
-            for gate_index in bucket:
-                in_queue[gate_index] = False
-                self._evaluate(gate_index)
-            bucket.clear()
-
-    def _gather(self, gate_index: int, fanin: Tuple[int, ...]) -> Dict[int, int]:
-        """One multi-list traversal: the faulty machines to evaluate at this
-        gate, each mapped to the XOR of its packed input word against the
-        good machine's, so its state is ``good_packed ^ delta``.
-
-        The traversal walks each fanin's visible list (plus, without list
-        splitting, its invisible list — the scan the ``-V`` variants
-        avoid), then the gate's own lists (for convergence) and the faults
-        whose site is this gate.  Only visible fanin elements carry a value
-        that differs from the good machine's.  Detected faults are dropped
-        from the lists as they are encountered (event-driven dropping).
-
-        The returned dict is the engine's reusable scratch: it is valid
-        until the next ``_gather`` call, which is exactly the lifetime
-        every caller needs (iterate once, then move to the next gate).
-        """
-        descriptors = self.descriptors
-        drop = self.options.drop_detected
-        split = self.options.split_lists
-        good = self.good
-        counters = self.counters
-        trace = self.tracer
-        deltas = self._scratch_candidates
-        deltas.clear()
-        purge = self._scratch_purge
-        purge.clear()
-        vis = self.vis
-        shift = 0
-        for source in fanin:
-            bucket = vis[source]
-            if bucket:
-                counters.element_visits += len(bucket)
+            good_evals += len(bucket)
+            for gate in bucket:
+                in_queue[gate] = False
+                if evaluated is not None:
+                    evaluated.add(gate)
                 if trace is not None:
-                    trace.element_visits(source, len(bucket))
-                good_value = good[source]
-                for fid, value in bucket.items():
-                    if drop and descriptors[fid].detected:
-                        purge.append((source, fid))
-                    elif fid in deltas:
-                        deltas[fid] ^= (value ^ good_value) << shift
-                    else:
-                        deltas[fid] = (value ^ good_value) << shift
-            shift += 2
-            if not split and self.invis[source]:
-                self._gather_unchanged(source, self.invis[source], purge)
-        if vis[gate_index]:
-            self._gather_unchanged(gate_index, vis[gate_index], purge)
-        if self.invis[gate_index]:
-            self._gather_unchanged(gate_index, self.invis[gate_index], purge)
-        for fid in self.local_faults[gate_index]:
-            if fid not in deltas and not (drop and descriptors[fid].detected):
-                deltas[fid] = 0
-        for source, fid in purge:
-            self._remove(source, fid)
-        return deltas
+                    trace.good_evals(gate)
+                old_good = good[gate]
+                deltas.clear()
+                good_packed = 0
+                shift = 0
+                for source in fanins[gate]:
+                    good_value = good[source]
+                    good_packed |= good_value << shift
+                    elements = vis[source]
+                    if elements:
+                        visits += len(elements)
+                        if trace is not None:
+                            trace.element_visits(source, len(elements))
+                        for fid, value in elements.items():
+                            if drop and descriptors[fid].detected:
+                                purge.append((source, fid))
+                            elif fid in deltas:
+                                deltas[fid] ^= (value ^ good_value) << shift
+                            else:
+                                deltas[fid] = (value ^ good_value) << shift
+                    shift += 2
+                    if not split and invis[source]:
+                        elements = invis[source]
+                        visits += len(elements)
+                        if trace is not None:
+                            trace.element_visits(source, len(elements))
+                        for fid in elements:
+                            if drop and descriptors[fid].detected:
+                                purge.append((source, fid))
+                            elif fid not in deltas:
+                                deltas[fid] = 0
+                vis_here = vis[gate]
+                invis_here = invis[gate]
+                for elements in (vis_here, invis_here):
+                    if elements:
+                        visits += len(elements)
+                        if trace is not None:
+                            trace.element_visits(gate, len(elements))
+                        for fid in elements:
+                            if drop and descriptors[fid].detected:
+                                purge.append((gate, fid))
+                            elif fid not in deltas:
+                                deltas[fid] = 0
+                for fid in local_faults[gate]:
+                    if fid not in deltas and not (drop and descriptors[fid].detected):
+                        deltas[fid] = 0
+                table = tables[gate]
+                new_good = good[gate] = table[good_packed]
+                if purge:
+                    for source, fid in purge:
+                        removed = False
+                        if vis[source].pop(fid, None) is not None:
+                            live -= 1
+                            removed = True
+                        if invis[source].pop(fid, None) is not None:
+                            live -= 1
+                            removed = True
+                        if removed and trace is not None:
+                            trace.converge(source, fid)
+                    purge.clear()
 
-    def _gather_unchanged(self, source: int, bucket: Dict[int, int], purge) -> None:
-        """Add one list whose elements leave this gate's inputs as the good
-        machine's (detected ones go to *purge*)."""
-        self.counters.element_visits += len(bucket)
-        trace = self.tracer
-        if trace is not None:
-            trace.element_visits(source, len(bucket))
-        deltas = self._scratch_candidates
-        descriptors = self.descriptors
-        drop = self.options.drop_detected
-        for fid in bucket:
-            if drop and descriptors[fid].detected:
-                purge.append((source, fid))
-            elif fid not in deltas:
-                deltas[fid] = 0
+                fault_event = False
+                if deltas:
+                    fault_evals += len(deltas)
+                    if trace is not None:
+                        trace.fault_evals(gate, len(deltas))
+                for fid, delta in deltas.items():
+                    packed = good_packed ^ delta
+                    descriptor = descriptors[fid]
+                    if descriptor.site_gate != gate:
+                        out = table[packed]
+                    else:
+                        behavior = descriptor.behavior
+                        if behavior is force_output:
+                            out = descriptor.value
+                        elif behavior is force_input:
+                            position = 2 * descriptor.pin
+                            packed = (packed & ~(0b11 << position)) | (
+                                descriptor.value << position
+                            )
+                            out = table[packed]
+                        elif behavior is table_behavior:
+                            out = descriptor.table[packed]
+                        else:  # TRANSITION: rare site path, via the hook
+                            out, packed = self._transition_output(
+                                descriptor, table, packed
+                            )
+                    visible = fid in vis_here
+                    before = vis_here[fid] if visible else old_good
+                    if out != new_good:
+                        if fid in invis_here:
+                            del invis_here[fid]
+                            live -= 1
+                        if not visible:
+                            live += 1
+                            if trace is not None:
+                                trace.diverge(gate, fid, True)
+                        vis_here[fid] = out
+                    elif packed != good_packed:
+                        # Same output, different state: invisible element.
+                        if visible:
+                            del vis_here[fid]
+                            live -= 1
+                        if fid not in invis_here:
+                            live += 1
+                            if trace is not None:
+                                trace.diverge(gate, fid, False)
+                        invis_here[fid] = out
+                    else:
+                        removed = visible
+                        if visible:
+                            del vis_here[fid]
+                            live -= 1
+                        if fid in invis_here:
+                            del invis_here[fid]
+                            live -= 1
+                            removed = True
+                        if removed and trace is not None:
+                            trace.converge(gate, fid)
+                    if before != out:
+                        fault_event = True
+
+                if new_good != old_good or fault_event:
+                    events += 1
+                    if trace is not None:
+                        trace.event(gate)
+                    sinks, flip_flops = fanouts[gate]
+                    for sink in sinks:
+                        if not in_queue[sink]:
+                            in_queue[sink] = True
+                            sink_level = levels[sink]
+                            queue[sink_level].append(sink)
+                            scheduled += 1
+                            if trace is not None:
+                                trace.scheduled(sink, sink_level)
+                    if flip_flops:
+                        dirty_ffs.update(flip_flops)
+            bucket.clear()
+        self._live_elements = live
+        counters = self.counters
+        counters.good_evaluations += good_evals
+        counters.fault_evaluations += fault_evals
+        counters.element_visits += visits
+        counters.events += events
+        counters.gates_scheduled += scheduled
 
     def _transition_output(self, descriptor, table, packed):  # pragma: no cover
         raise NotImplementedError(
             "transition faults require TransitionFaultSimulator"
         )
 
-    def _ff_transition_latch(self, descriptor, q_fault):  # pragma: no cover
+    def _transition_delay(self, descriptor, value):  # pragma: no cover
         raise NotImplementedError(
             "transition faults require TransitionFaultSimulator"
         )
-
-    def _evaluate(self, gate_index: int) -> None:
-        """Re-evaluate the good machine and every candidate faulty machine
-        at one gate, diverging/converging elements and emitting events.
-
-        The hot path works on packed state words — the paper's "the state
-        of a gate is packed into a word so that the output can be
-        efficiently evaluated by table look up": :meth:`_gather` yields
-        each faulty machine's word as an XOR against the good one,
-        evaluation is one table index, and the divergence test is a single
-        word comparison against the good machine's packed state.
-        """
-        gate = self.circuit.gates[gate_index]
-        if self._record_evaluated is not None:
-            self._record_evaluated.add(gate_index)
-        fanin = gate.fanin
-        good = self.good
-        old_good = good[gate_index]
-        table = self._eval_tables[gate_index]
-        self.counters.good_evaluations += 1
-        trace = self.tracer
-        if trace is not None:
-            trace.good_evals(gate_index)
-
-        good_packed = 0
-        shift = 0
-        for source in fanin:
-            good_packed |= good[source] << shift
-            shift += 2
-        new_good = table[good_packed]
-        good[gate_index] = new_good
-
-        candidates = self._gather(gate_index, fanin)
-        if candidates:
-            self.counters.fault_evaluations += len(candidates)
-            if trace is not None:
-                trace.fault_evals(gate_index, len(candidates))
-        vis_here = self.vis[gate_index]
-        invis_here = self.invis[gate_index]
-        descriptors = self.descriptors
-        live = self._live_elements
-        fault_event = False
-        for fid, delta in candidates.items():
-            packed = good_packed ^ delta
-            descriptor = descriptors[fid]
-            if descriptor.site_gate != gate_index:
-                out = table[packed]
-            else:
-                behavior = descriptor.behavior
-                if behavior is Behavior.FORCE_OUTPUT:
-                    out = descriptor.value
-                elif behavior is Behavior.FORCE_INPUT:
-                    position = 2 * descriptor.pin
-                    packed = (packed & ~(0b11 << position)) | (
-                        descriptor.value << position
-                    )
-                    out = table[packed]
-                elif behavior is Behavior.TABLE:
-                    out = descriptor.table[packed]
-                else:  # TRANSITION: rare site path, via the hook
-                    out, packed = self._transition_output(descriptor, table, packed)
-            visible = fid in vis_here
-            before = vis_here[fid] if visible else old_good
-            if out != new_good:
-                if fid in invis_here:
-                    del invis_here[fid]
-                    live -= 1
-                if not visible:
-                    live += 1
-                    if trace is not None:
-                        trace.diverge(gate_index, fid, True)
-                vis_here[fid] = out
-            elif packed != good_packed:
-                # Same output, different state: invisible element.
-                if visible:
-                    del vis_here[fid]
-                    live -= 1
-                if fid not in invis_here:
-                    live += 1
-                    if trace is not None:
-                        trace.diverge(gate_index, fid, False)
-                invis_here[fid] = out
-            else:
-                removed = visible
-                if visible:
-                    del vis_here[fid]
-                    live -= 1
-                if fid in invis_here:
-                    del invis_here[fid]
-                    live -= 1
-                    removed = True
-                if removed and trace is not None:
-                    trace.converge(gate_index, fid)
-            if before != out:
-                fault_event = True
-        self._live_elements = live
-
-        if new_good != old_good or fault_event:
-            self._emit_event(gate_index)
 
     def _detect(self) -> List[Fault]:
         """Scan primary-output fault lists for detections.
@@ -690,14 +732,15 @@ class ConcurrentFaultSimulator:
         newly: List[Fault] = []
         drop = self.options.drop_detected
         counters = self.counters
+        gate_trace = self._gate_tracer
         trace = self.tracer
         hard_now: List[int] = []
         potential_now: List[int] = []
         for po_index in self.circuit.outputs:
             good_value = self.good[po_index]
             vis = self.vis[po_index]
-            if trace is not None and vis:
-                trace.element_visits(po_index, len(vis))
+            if gate_trace is not None and vis:
+                gate_trace.element_visits(po_index, len(vis))
             purge: List[int] = []
             for fid, value in vis.items():
                 counters.element_visits += 1
@@ -717,8 +760,8 @@ class ConcurrentFaultSimulator:
             if not self.options.split_lists:
                 invis_length = len(self.invis[po_index])
                 counters.element_visits += invis_length
-                if trace is not None and invis_length:
-                    trace.element_visits(po_index, invis_length)
+                if gate_trace is not None and invis_length:
+                    gate_trace.element_visits(po_index, invis_length)
         # Hard and potential detections are judged on the full output
         # vector of the cycle; marking happens after the scan so that a
         # hard detection at one output doesn't hide the same cycle's
@@ -781,39 +824,62 @@ class ConcurrentFaultSimulator:
     ) -> List[Tuple[int, int, List[Tuple[int, int, bool]], bool]]:
         """Latch phase: next good/faulty values per dirty flip-flop, from
         the current settled (pre-commit) network values."""
-        circuit = self.circuit
+        fanins = self._plan.fanins
+        local_faults = self.local_faults
         descriptors = self.descriptors
         drop = self.options.drop_detected
         split = self.options.split_lists
-        good = self.good
-        trace = self.tracer
+        good, vis, invis = self.good, self.vis, self.invis
+        counters = self.counters
+        trace = self._gate_tracer
         pending: List[Tuple[int, int, List[Tuple[int, int, bool]], bool]] = []
 
         for ff_index in self._dirty_ffs:
-            gate = circuit.gates[ff_index]
-            d_source = gate.fanin[0]
+            d_source = fanins[ff_index][0]
             old_q = good[ff_index]
             new_q = good[d_source]
-            vis_here = self.vis[ff_index]
-            candidates = self._gather(ff_index, gate.fanin)
+            vis_here = vis[ff_index]
+            # The latch's own merge: a faulty machine latches its element
+            # on D's visible list, or else the good D (the kernel's
+            # traversal order, one fanin).
+            latched: Dict[int, int] = {}
+            purge: List[Tuple[int, int]] = []
+            for source, elements, carries in (
+                (d_source, vis[d_source], True),
+                (d_source, {} if split else invis[d_source], False),
+                (ff_index, vis_here, False),
+                (ff_index, invis[ff_index], False),
+            ):
+                if not elements:
+                    continue
+                counters.element_visits += len(elements)
+                if trace is not None:
+                    trace.element_visits(source, len(elements))
+                for fid, value in elements.items():
+                    if drop and descriptors[fid].detected:
+                        purge.append((source, fid))
+                    elif fid not in latched:
+                        latched[fid] = value if carries else new_q
+            for fid in local_faults[ff_index]:
+                if fid not in latched and not (drop and descriptors[fid].detected):
+                    latched[fid] = new_q
+            for source, fid in purge:
+                self._remove(source, fid)
             updates: List[Tuple[int, int, bool]] = []
             event = new_q != old_q
-            if candidates:
-                self.counters.fault_evaluations += len(candidates)
+            if latched:
+                counters.fault_evaluations += len(latched)
                 if trace is not None:
-                    trace.fault_evals(ff_index, len(candidates))
-            for fid, delta in candidates.items():
+                    trace.fault_evals(ff_index, len(latched))
+            for fid, q_fault in latched.items():
                 descriptor = descriptors[fid]
-                q_fault = new_q ^ delta
                 if descriptor.site_gate == ff_index:
-                    if descriptor.behavior is Behavior.FORCE_OUTPUT:
+                    behavior = descriptor.behavior
+                    if behavior is Behavior.FORCE_OUTPUT or behavior is Behavior.FORCE_INPUT:
+                        # Q stuck, or a stuck D pin latching the forced value.
                         q_fault = descriptor.value
-                    elif descriptor.behavior is Behavior.FORCE_INPUT:
-                        # A stuck D pin latches the forced value.
-                        q_fault = descriptor.value
-                    elif descriptor.behavior is Behavior.TRANSITION:
-                        # A slow D transition latches the stale value.
-                        q_fault = self._ff_transition_latch(descriptor, q_fault)
+                    elif behavior is Behavior.TRANSITION:
+                        q_fault = self._transition_delay(descriptor, q_fault)
                 before = vis_here.get(fid, old_q)
                 updates.append((fid, q_fault, q_fault != new_q))
                 if before != q_fault:
@@ -830,7 +896,7 @@ class ConcurrentFaultSimulator:
         cycle's queue and mark downstream flip-flops dirty for the next
         boundary.
         """
-        circuit = self.circuit
+        fanouts = self._plan.fanouts
         good = self.good
         for ff_index, new_q, updates, event in pending:
             good[ff_index] = new_q
@@ -841,11 +907,9 @@ class ConcurrentFaultSimulator:
                     self._remove(ff_index, fid)
             if event:
                 self.counters.events += 1
-                trace = self.tracer
+                trace = self._gate_tracer
                 if trace is not None:
                     trace.event(ff_index)
-                for sink in circuit.gates[ff_index].fanout:
-                    if circuit.gates[sink].gtype is GateType.DFF:
-                        self._dirty_ffs.add(sink)
-                    else:
-                        self._next_cycle_gates.add(sink)
+                sinks, flip_flops = fanouts[ff_index]
+                self._next_cycle_gates.update(sinks)
+                self._dirty_ffs.update(flip_flops)

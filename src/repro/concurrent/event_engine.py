@@ -45,7 +45,7 @@ from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
 from repro.logic.values import X
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, gate_tracer
 from repro.result import FaultSimResult, MemoryStats, WorkCounters
 from repro.sim.delays import DelayModel, unit_delays
 
@@ -75,6 +75,7 @@ class ConcurrentEventFaultSimulator:
             )
         self.circuit = circuit
         self.tracer = tracer
+        self._gate_tracer = gate_tracer(tracer)
         self.delays = delays or unit_delays(circuit)
         self.options = options
         universe = stuck_at_universe(circuit) if faults is None else faults
@@ -211,7 +212,7 @@ class ConcurrentEventFaultSimulator:
         descriptors = self.descriptors
         drop = self.options.drop_detected
         counters = self.counters
-        trace = self.tracer
+        trace = self._gate_tracer
         candidates: Dict[int, bool] = {}
         purge: List[Tuple[int, int]] = []
         for source in list(fanin) + [gate_index]:
@@ -259,7 +260,7 @@ class ConcurrentEventFaultSimulator:
         """
         gate = self.circuit.gates[gate_index]
         due = self.time + self.delays.delay(gate_index)
-        trace = self.tracer
+        trace = self._gate_tracer
         if GOOD in machines:
             self.counters.good_evaluations += 1
             if trace is not None:
@@ -291,7 +292,7 @@ class ConcurrentEventFaultSimulator:
         circuit = self.circuit
         gates = circuit.gates
         drop = self.options.drop_detected
-        trace = self.tracer
+        trace = self._gate_tracer
         while self._times and self._times[0] <= until:
             now = heapq.heappop(self._times)
             events = self._bucket.pop(now)
@@ -416,8 +417,8 @@ class ConcurrentEventFaultSimulator:
             good_value = self.good[po_index]
             if good_value == X:
                 continue
-            if trace is not None and self.vis[po_index]:
-                trace.element_visits(po_index, len(self.vis[po_index]))
+            if self._gate_tracer is not None and self.vis[po_index]:
+                self._gate_tracer.element_visits(po_index, len(self.vis[po_index]))
             for fid, value in self.vis[po_index].items():
                 self.counters.element_visits += 1
                 if value == good_value:
@@ -451,7 +452,7 @@ class ConcurrentEventFaultSimulator:
         boundary."""
         circuit = self.circuit
         drop = self.options.drop_detected
-        trace = self.tracer
+        trace = self._gate_tracer
         posts: List[Tuple[int, int, int]] = []
         for ff_index in circuit.dffs:
             gate = circuit.gates[ff_index]

@@ -89,51 +89,20 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
         delayed (sampling pass) or completed (firing pass); returns
         ``(output, packed state)``, a delayed input pin's field rewritten."""
         if not self._firing:
-            prev, kind = descriptor.prev_site_value, descriptor.kind
             if descriptor.pin == OUTPUT_PIN:
-                return delayed_value(prev, table[packed], kind), packed
+                return self._transition_delay(descriptor, table[packed]), packed
             position = 2 * descriptor.pin
-            delayed = delayed_value(prev, (packed >> position) & 0b11, kind)
+            delayed = self._transition_delay(descriptor, (packed >> position) & 0b11)
             packed = (packed & ~(0b11 << position)) | (delayed << position)
         return table[packed], packed
 
-    def _ff_transition_latch(self, descriptor, q_fault):
-        """A slow transition on a D pin latches the line's previous value
-        when the transition fired this cycle (the flip-flop samples before
-        the delayed edge arrives)."""
-        return delayed_value(descriptor.prev_site_value, q_fault, descriptor.kind)
-
-    def _apply_source(self, pi_index: int, value: int) -> None:
-        """Primary inputs with output transition faults (only present when
-        the universe was built with ``include_outputs``) delay at the pin
-        itself during the sampling pass."""
-        old_good = self.good[pi_index]
-        self.good[pi_index] = value
-        vis = self.vis[pi_index]
-        event = value != old_good
-        drop = self.options.drop_detected
-        evals = 0
-        for fid in self.local_faults[pi_index]:
-            descriptor = self.descriptors[fid]
-            if descriptor.detected and drop:
-                self._remove(pi_index, fid)
-                continue
-            self.counters.fault_evaluations += 1
-            evals += 1
-            forced = delayed_value(descriptor.prev_site_value, value, descriptor.kind)
-            before = vis.get(fid, old_good)
-            if forced != value:
-                self._store(self.vis, pi_index, fid, forced)
-            else:
-                self._remove(pi_index, fid)
-            if before != forced:
-                event = True
-        if evals:
-            trace = self.tracer
-            if trace is not None:
-                trace.fault_evals(pi_index, evals)
-        if event:
-            self._emit_event(pi_index)
+    def _transition_delay(self, descriptor, value):
+        """The value a slow transition at this fault's site holds: the
+        line's previous value where it moved this cycle.  A flip-flop's
+        D pin latches it (the flip-flop samples before the delayed edge
+        arrives); a primary input's output fault drives it during the
+        sampling pass."""
+        return delayed_value(descriptor.prev_site_value, value, descriptor.kind)
 
     # -- per-cycle flow -------------------------------------------------------
 

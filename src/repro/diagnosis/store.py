@@ -121,18 +121,27 @@ def encode_dictionary(
     failing = [failures for _, failures in ordered]
     document = {
         "schema": SCHEMA,
-        "manifest": {
-            "circuit": circuit_name,
-            "kind": kind,
-            "collapse": collapse,
-            "num_vectors": num_vectors,
-            "num_faults": len(ordered),
-            "num_detected": sum(map(bool, failing)),
-        },
+        "manifest": dictionary_manifest(circuit_name, num_vectors, responses, kind, collapse),
         "faults": [fault._sort_key() for fault, _ in ordered],
         "responses": failing,
     }
     return _canonical(document)
+
+
+def dictionary_manifest(
+    circuit_name: str, num_vectors: int, responses: Dict[Fault, Tuple[Failure, ...]],
+    kind: str = "full", collapse: Optional[str] = None,
+) -> dict:
+    """The manifest :func:`encode_dictionary` writes for these inputs (a
+    fresh build reports its counts from it, not from its artifact)."""
+    return {
+        "circuit": circuit_name,
+        "kind": kind,
+        "collapse": collapse,
+        "num_vectors": num_vectors,
+        "num_faults": len(responses),
+        "num_detected": sum(map(bool, responses.values())),
+    }
 
 
 def read_manifest(blob: bytes) -> dict:

@@ -6,12 +6,19 @@ executes no tracer code at all (the zero-overhead-when-disabled design
 constraint; ``benchmarks/bench_obs_overhead.py`` asserts it).
 
 The hook vocabulary mirrors :class:`repro.result.WorkCounters` increment
-for increment — every ``counters.X += n`` in an engine has an adjacent
+for increment — every ``counters.X += n`` in an engine has a matching
 ``trace.hook(..., n)`` call — which is what lets a recording tracer's
 totals reconcile *exactly* with the counters a run reports.  On top of the
 counter mirror the protocol carries the element-lifecycle events the
 paper's evaluation reasons about: divergence, convergence, detection and
 event-driven dropping, plus per-phase wall time and per-cycle boundaries.
+
+Per-gate hooks (the counter mirror at one gate, ``diverge`` and
+``converge``) reach only a tracer whose ``enabled`` is true
+(:func:`gate_tracer`), so one that records nothing, such as a per-cycle
+heartbeat, costs an engine nothing per gate.  Run, cycle, phase,
+detection and resilience hooks, and bulk accounting (``gate=None``),
+reach every tracer.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ class Tracer:
 
     Subclass and override any subset of hooks; every hook ignores its
     arguments by default.  ``enabled`` advertises whether the tracer
-    records anything — engines may use it to skip building expensive hook
-    arguments (per-cycle list-size scans) for tracers that discard them.
+    records anything: one that leaves it false gets no per-gate hooks
+    and no expensive hook arguments (per-cycle list-size scans).
     """
 
     enabled = False
@@ -101,9 +108,15 @@ class Tracer:
         return None
 
 
-#: Shared no-op instance: threading it through an engine exercises every
-#: hook call site while recording nothing (the overhead benchmark's probe).
+#: Shared no-op instance: the overhead benchmark's probe for what a tracer
+#: that records nothing costs.
 NULL_TRACER = Tracer()
+
+
+def gate_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
+    """*tracer* if it records, else ``None``: where an engine sends its
+    per-gate hooks."""
+    return tracer if tracer is not None and tracer.enabled else None
 
 
 class RecordingTracer(Tracer):

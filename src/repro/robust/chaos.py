@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Type
+from typing import Iterator, List, Optional, Type
 
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
@@ -47,25 +47,42 @@ class ChaosError(RuntimeError):
     """Raised by injected failures, so tests can tell chaos from real bugs."""
 
 
+class _LossyFanouts:
+    """A settle plan's fanout table whose every Nth read comes back empty:
+    each event reads its gate's fanouts once (kernel, primary input or
+    flip-flop commit), so an empty read loses it; *lost* gets the gate."""
+
+    def __init__(self, fanouts, drop_every: int, lost: List[int]) -> None:
+        self._fanouts = fanouts
+        self._drop_every = drop_every
+        self._reads = 0
+        self._lost = lost
+
+    def __getitem__(self, gate: int):
+        self._reads += 1
+        if self._reads % self._drop_every == 0:
+            self._lost.append(gate)
+            return (), ()
+        return self._fanouts[gate]
+
+
 class EventDropChaos(ConcurrentFaultSimulator):
     """A concurrent engine that loses every Nth fault-propagation event.
 
     Dropped events mean gates that should have been rescheduled are not,
     so fault effects stall mid-network and the detected-fault map comes
     out wrong — silently.  This is exactly the corruption class the
-    engine ladder's serial spot-check exists to catch.
+    engine ladder's serial spot-check exists to catch.  The loss sits in
+    the engine's own copy of its settle plan, so events vanish wherever
+    they happen; ``lost_events`` lists the gates whose events vanished.
     """
 
     def __init__(self, *args, drop_every: int = 3, **kwargs) -> None:
-        self._drop_every = drop_every
-        self._event_count = 0
         super().__init__(*args, **kwargs)
-
-    def _emit_event(self, gate_index: int) -> None:
-        self._event_count += 1
-        if self._event_count % self._drop_every == 0:
-            return  # the event vanishes: no fanout is scheduled
-        super()._emit_event(gate_index)
+        self.lost_events: List[int] = []
+        self._plan = self._plan._replace(
+            fanouts=_LossyFanouts(self._plan.fanouts, drop_every, self.lost_events)
+        )
 
 
 class ElementCorruptionChaos(ConcurrentFaultSimulator):

@@ -180,17 +180,15 @@ class ServeConfig:
 class _LeaseHeartbeat(Tracer):
     """Renews a batch's leases from the engine's per-cycle tracer hook.
 
-    Engines fire hooks whenever a tracer object is present (``enabled``
-    only gates expensive hook-argument construction), so overriding just
-    ``cycle_end`` with ``enabled = False`` buys a per-cycle callback at
-    near-zero instrumentation cost.  The serial oracle fires ``cycle_end``
-    only in its good-machine pass; its faulty-machine loop reports one
-    bulk ``fault_evals(None, n)`` per machine cycle, so for a serial run
-    :meth:`run_start` makes that hook beat too.  Every other engine calls
-    ``fault_evals`` per gate and keeps the base no-op.  ``telemetry()``
-    stays the base ``None``, so heartbeating never attaches telemetry to
-    the result and the serialized outcome remains bit-identical to an
-    untracered run.
+    With ``enabled = False`` the engines send this tracer no per-gate
+    hooks at all (see :mod:`repro.obs.tracer`), so overriding just
+    ``cycle_end`` buys a per-cycle callback at the cost of one call per
+    cycle.  The serial oracle fires ``cycle_end`` only in its good-machine
+    pass; its faulty-machine loop reports one bulk ``fault_evals(None, n)``
+    per machine cycle, which reaches every tracer, so for a serial run
+    :meth:`run_start` makes that hook beat too.  ``telemetry()`` stays the
+    base ``None``, so heartbeating never attaches telemetry to the result
+    and the serialized outcome remains bit-identical to an untracered run.
     """
 
     enabled = False
@@ -773,9 +771,10 @@ class FaultSimService:
             serialize_started = time.perf_counter()
             serialize_wall = time.time()
             if spec.dictionary is not None:
-                blob = self._encode_dictionary(spec, resolved, result)
+                blob, summary = self._encode_dictionary(spec, resolved, result)
             else:
                 blob = serialize_result(result, resolved.circuit)
+                summary = result.summary()
             self.store.write_result(record.job_id, blob)
             if self.spans is not None and root is not None:
                 self.spans.emit(
@@ -795,9 +794,7 @@ class FaultSimService:
                 self.metrics.phase(
                     "dictionary_build", time.perf_counter() - serialize_started
                 )
-                record.summary = _summary_from_blob(blob, cached=False)
-            else:
-                record.summary = result.summary()
+            record.summary = summary
             self._finish(
                 record, blob, cache_hit=False, counters=result.counters, owner=owner
             )
@@ -966,8 +963,9 @@ class FaultSimService:
 
     def _encode_dictionary(
         self, spec: JobSpec, resolved: ResolvedJob, result: FaultSimResult
-    ) -> bytes:
-        """Encode a finished dictionary build as a ``repro-dict/1`` artifact.
+    ) -> Tuple[bytes, str]:
+        """Encode a finished dictionary build as a ``repro-dict/1`` artifact;
+        returns it with the job summary, read off the encoder's inputs.
 
         A truncated run carries incomplete response signatures, which a
         dictionary must never contain: the build fails *transiently*
@@ -975,7 +973,7 @@ class FaultSimService:
         checkpoints instead of shipping a partial artifact.
         """
         from repro.diagnosis.dictionary import DictionaryBuildTruncated
-        from repro.diagnosis.store import encode_dictionary
+        from repro.diagnosis.store import dictionary_manifest, encode_dictionary
 
         if result.truncated:
             raise DictionaryBuildTruncated(
@@ -984,15 +982,16 @@ class FaultSimService:
             )
         assert result.responses is not None  # a record-mode campaign
         assert spec.dictionary is not None
-        blob = encode_dictionary(
+        material = (
             resolved.circuit.name,
             len(resolved.tests),
             result.responses,
             spec.dictionary,
-            collapse=spec.collapse,
+            spec.collapse,
         )
+        blob = encode_dictionary(*material)
         self.metrics.dictionary_built()
-        return blob
+        return blob, _dictionary_summary(dictionary_manifest(*material))
 
     # -- diagnosis ------------------------------------------------------
 

@@ -68,7 +68,7 @@ from repro.drive import drive
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.baselines.proofs import ProofsSimulator
 from repro.logic.values import ONE, X, ZERO
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, gate_tracer
 from repro.result import FaultSimResult
 from repro.vector.core import WordMachine, pack_slots, each_slot
 from repro.vector.scheduler import AxisScheduler
@@ -267,7 +267,8 @@ class VectorFaultSimulator(ProofsSimulator):
         circuit = self.circuit
         good_ones, good_xs = good_words
         machine = WordMachine(
-            self.plan, list(good_ones), list(good_xs), mask, self.counters, self.tracer
+            self.plan, list(good_ones), list(good_xs), mask, self.counters,
+            gate_tracer(self.tracer),
         )
         ones, xs = machine.ones, machine.xs
         # Carried flip-flop diffs seed slot 0 (the window's first cycle).

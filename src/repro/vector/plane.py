@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Tuple
 from repro.faults.model import OUTPUT_PIN
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, X, ZERO
+from repro.obs.tracer import gate_tracer
 
 if TYPE_CHECKING:
     from repro.vector.kernel import GoodWords, WindowOutcome
@@ -256,7 +257,7 @@ def simulate_window(
     circuit = sim.circuit
     gates = circuit.gates
     counters = sim.counters
-    trace = sim.tracer
+    trace = gate_tracer(sim.tracer)
     plan = getattr(sim, "_plane_plan", None)
     if plan is None:  # built once per simulator
         plan = sim._plane_plan = _build_plan(circuit)

@@ -13,6 +13,7 @@ import pytest
 from repro.campaign import Campaign, execute
 from repro.circuit.library import load
 from repro.harness.runner import run_stuck_at, workload_tests
+from repro.logic.tables import GateType
 from repro.obs import RecordingTracer
 from repro.patterns.vectors import TestSequence
 from repro.robust import (
@@ -51,10 +52,16 @@ def short_tests(s27_tests):
 
 class TestEventDropping:
     def test_dropped_events_corrupt_the_result(self, s27, s27_tests):
-        """Premise check: the chaotic engine really is wrong on its own."""
+        """Premise check: the chaotic engine really is wrong on its own,
+        and the events it loses include the settle kernel's (combinational
+        gates), not only those of primary inputs and flip-flops."""
         honest = run_stuck_at(s27, s27_tests, "csim-MV")
-        chaotic = EventDropChaos(s27, drop_every=2).run(s27_tests)
+        simulator = EventDropChaos(s27, drop_every=2)
+        chaotic = simulator.run(s27_tests)
         assert chaotic.detected != honest.detected
+        gates = simulator.circuit.gates
+        lost_types = {gates[index].gtype for index in simulator.lost_events}
+        assert lost_types - {GateType.INPUT, GateType.DFF}
 
     def test_ladder_recovers(self, s27, s27_tests):
         reference = run_stuck_at(s27, s27_tests, "csim-MV")

@@ -314,6 +314,24 @@ class TestCheckpointFlow:
         assert "no checkpoint file" in capsys.readouterr().err
         assert not output.exists()
 
+    def test_build_dictionary_line_matches_the_artifact(self, tmp_path, capsys):
+        """The build line's counts, read off the encoder's inputs, are the
+        ones the written artifact's manifest holds."""
+        from repro.diagnosis.store import read_manifest
+
+        output = tmp_path / "d.json"
+        argv = ["build-dictionary", "s27", "--random-patterns", "30",
+                "--seed", "4", "-o", str(output)]
+        assert main(argv) == 0
+        blob = output.read_bytes()
+        manifest = read_manifest(blob)
+        assert capsys.readouterr().out == (
+            f"{output}: dictionary[{manifest['kind']}] for "
+            f"{manifest['circuit']}: {manifest['num_detected']}/"
+            f"{manifest['num_faults']} faults detected over "
+            f"{manifest['num_vectors']} vectors ({len(blob)} bytes)\n"
+        )
+
     def test_single_job_dictionary_checkpoints_to_the_given_path(self, tmp_path, capsys):
         """``--jobs 1`` builds checkpoint where ``simulate`` does: the path itself."""
         path = tmp_path / "d.ckpt"

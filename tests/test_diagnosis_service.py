@@ -589,6 +589,18 @@ class TestServeDiagnose:
             "dictionaries_built": 1,
         }
 
+    def test_fresh_build_summary_matches_its_artifact(self, tmp_path):
+        """A fresh build's summary, read off the encoder's inputs, is the
+        one a parse of the artifact it wrote gives."""
+        from repro.serve.service import _summary_from_blob
+
+        service = make_service(tmp_path)
+        _, document, _ = service.diagnose(dict(DIAGNOSE_QUERY))
+        assert service.drain() == 1
+        record = service.status(document["job"])
+        blob = service.result_bytes(record.job_id)
+        assert record.summary == _summary_from_blob(blob, cached=False)
+
     def test_concurrent_misses_share_one_build(self, tmp_path):
         service = make_service(tmp_path)
         _, first, _ = service.diagnose(dict(DIAGNOSE_QUERY))

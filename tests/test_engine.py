@@ -236,22 +236,23 @@ class TestApiValidation:
 
 
 class TestSharedCaches:
-    """The hot-path caches: per-circuit eval tables and macro transforms
-    are built once and shared by every engine instance on that circuit."""
+    """The hot-path caches: per-circuit settle plans (with their eval
+    tables) and macro transforms are built once and shared by every engine
+    instance on that circuit."""
 
     def test_eval_tables_shared_across_instances(self, s27):
         from repro.concurrent.engine import shared_eval_tables
 
         first = ConcurrentFaultSimulator(s27, options=CSIM_V)
         second = ConcurrentFaultSimulator(s27, options=CSIM)
-        assert first._eval_tables is second._eval_tables
-        assert first._eval_tables is shared_eval_tables(s27)
+        assert first._plan is second._plan
+        assert first._plan.tables is shared_eval_tables(s27)
 
     def test_macro_transform_shared_across_instances(self, s27):
         first = ConcurrentFaultSimulator(s27, options=CSIM_MV)
         second = ConcurrentFaultSimulator(s27, options=CSIM_MV)
         assert first.macro is second.macro
-        assert first._eval_tables is second._eval_tables
+        assert first._plan is second._plan
 
     def test_distinct_circuits_get_distinct_tables(self, s27):
         from repro.concurrent.engine import shared_eval_tables

@@ -13,6 +13,7 @@ Three invariants anchor the telemetry subsystem:
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro import (
 from repro.baselines.serial import simulate_serial
 from repro.cli import main
 from repro.concurrent.options import SimOptions
+from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.harness.runner import compare_engines, run_stuck_at, run_transition
 from repro.harness.tables import table6
 from repro.obs import (
@@ -58,8 +60,33 @@ def _tests(circuit, length=60, seed=3):
     return random_sequence(circuit, length, seed=seed)
 
 
+PARITY_VARIANTS = CONCURRENT_VARIANTS + ("csim-T", "csim-TV")
+
+
+def _parity_run(circuit, tests, variant, path, record=False):
+    """Run *variant* with no tracer (``"none"``), ``NULL_TRACER``
+    (``"null"``), a ``RecordingTracer`` (``"recording"``), the sanitizer
+    armed (``"sanitize"``) or the given tracer; returns (result, tracer)."""
+    tracer = {"none": None, "null": NULL_TRACER, "sanitize": None}.get(path, path)
+    if path == "recording":
+        tracer = RecordingTracer()
+    options = SimOptions(
+        split_lists="V" in variant,
+        use_macros="M" in variant,
+        sanitize=path == "sanitize",
+    )
+    if variant.startswith("csim-T"):
+        simulator = TransitionFaultSimulator(circuit, options=options, tracer=tracer)
+    else:
+        simulator = ConcurrentFaultSimulator(
+            circuit, options=options, tracer=tracer, record_responses=record
+        )
+    return simulator.run(tests), tracer
+
+
 class TestNoOpParity:
-    """No tracer, NULL_TRACER and the Tracer base class are all free."""
+    """No tracer, NULL_TRACER and the Tracer base class are all free, and
+    a recording or sanitized run settles through the same kernel."""
 
     @pytest.mark.parametrize("tracer", [None, NULL_TRACER, Tracer()])
     def test_csim_mv_unchanged(self, s27, tracer):
@@ -71,6 +98,49 @@ class TestNoOpParity:
         assert traced.detected == baseline.detected
         assert traced.potentially_detected == baseline.potentially_detected
         assert traced.counters == baseline.counters
+
+    @pytest.mark.parametrize(
+        "variant,record",
+        [(variant, False) for variant in PARITY_VARIANTS] + [("csim-MV", True)],
+    )
+    def test_one_kernel_on_every_path(self, s298, variant, record):
+        """Untraced, no-op-traced, recording and sanitized runs of every
+        variant settle through one kernel and agree on every output."""
+        tests = _tests(s298)
+        runs = {
+            path: _parity_run(s298, tests, variant, path, record)
+            for path in ("none", "null", "recording", "sanitize")
+        }
+        reference = runs["none"][0]
+        for result, _ in runs.values():
+            assert result.detected == reference.detected
+            assert result.potentially_detected == reference.potentially_detected
+            assert result.responses == reference.responses
+            assert result.counters == reference.counters
+            assert result.memory.peak_elements == reference.memory.peak_elements
+        assert runs["recording"][1].totals == reference.counters
+
+    def test_silent_tracer_gets_no_per_gate_hooks(self, s298):
+        """A tracer that records nothing hears every cycle but no gate."""
+
+        class Silent(Tracer):
+            def __init__(self):
+                self.calls = Counter()
+
+            def cycle_end(self, cycle, **stats):
+                self.calls["cycle_end"] += 1
+
+            def _per_gate(self, *args, **kwargs):
+                self.calls["per-gate"] += 1
+
+            good_evals = fault_evals = element_visits = event = _per_gate
+            scheduled = diverge = converge = _per_gate
+
+        tests = _tests(s298)
+        for variant in PARITY_VARIANTS:
+            tracer = Silent()
+            _parity_run(s298, tests, variant, tracer)
+            assert tracer.calls == Counter(cycle_end=len(tests.vectors)), variant
 
     def test_noop_run_has_no_telemetry(self, s27):
         result = ConcurrentFaultSimulator(s27, options=CSIM).run(_tests(s27))

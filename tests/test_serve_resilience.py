@@ -461,6 +461,18 @@ class TestReaperThread:
         assert finished.attempts == 1
         assert service.metrics.lease_renewals > 0
 
+    @pytest.mark.parametrize("transition", [False, True], ids=["csim-MV", "csim-TV"])
+    def test_heartbeat_renews_once_per_cycle(self, tmp_path, transition):
+        """A zero TTL makes the heartbeat's interval 0, so it renews at
+        every cycle boundary: ``cycle_end`` reaches it although it records
+        nothing, while the per-gate hooks it does not need do not."""
+        service = make_service(tmp_path, lease_ttl=0.0, cache_results=False)
+        record, _ = service.submit({**JOB, "transition": transition})
+        assert service.process_once() == 1
+        finished = service.status(record.job_id)
+        assert finished.state == "done", finished.error
+        assert service.metrics.lease_renewals == JOB["random_patterns"]
+
     def test_checkpoint_mtime_counts_as_heartbeat(self, tmp_path):
         """A fresh checkpoint keeps an expired-lease job off the reap list."""
         service = make_service(tmp_path, lease_ttl=0.2)
